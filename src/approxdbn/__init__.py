@@ -26,7 +26,6 @@ from .search import (
     InfeasibleConstraint,
     SearchConfig,
     SearchResult,
-    ablation_run,
     approximation_curve,
     phase1_uniform,
     phase2_greedy,

@@ -95,11 +95,13 @@ class RunConfig:
         _check_keys(eval_raw, _EVAL_KEYS, "eval")
         self.eval_mode = eval_raw.get("mode", "mean_field")
         self.eval_samples = eval_raw.get("samples", 10)
+        if not isinstance(self.eval_samples, int) or self.eval_samples < 1:
+            raise ConfigError("eval.samples must be an int >= 1")
         self.eval_seed = eval_raw.get("seed", self.seed)
 
     @property
     def layer_sizes(self):
-        return [784] + list(self.hidden_sizes) + [10]
+        return [ds.IMAGE_PIXELS] + list(self.hidden_sizes) + [ds.NUM_CLASSES]
 
 
 def load_config(path, overrides):
@@ -135,16 +137,6 @@ def _load_train_split(config):
     if config.train_subset:
         data = data.subset(np.arange(min(config.train_subset, len(data))))
     return ds.split(data, config.validation_fraction, config.seed)
-
-
-def _set_threads(n):
-    if n is None:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=n)
-    except ImportError:
-        os.environ["OMP_NUM_THREADS"] = str(n)
 
 
 def cmd_train(config):
@@ -236,6 +228,8 @@ def cmd_curve(config, model_path):
 
 
 def cmd_eval(model_path, images_path, labels_path, mode, samples, seed):
+    if samples < 1:
+        raise ConfigError("--samples must be >= 1")
     model = ddbn.load_model(model_path)
     data = ds.load_idx(images_path, labels_path)
     acc = ddbn.evaluate_accuracy(model, data.images, data.labels, mode=mode,
@@ -253,8 +247,6 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="approxdbn",
         description="Train and approximate discriminative deep belief networks.")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="BLAS thread cap (results are thread-count independent)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name in ("train", "search", "curve"):
@@ -278,7 +270,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    _set_threads(args.threads)
     try:
         if args.command == "eval":
             return cmd_eval(args.model, args.images, args.labels,

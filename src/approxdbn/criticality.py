@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ddbn import sigmoid, softmax
+from .ddbn import as_inputs, sigmoid, softmax
 
 
 @dataclass
@@ -28,14 +28,10 @@ class ForwardRecord:
 def forward_mean_field(model, inputs) -> ForwardRecord:
     """Deterministic full-precision propagation of probabilities; no
     sampling and no quantization ops (the parameters are used as stored)."""
-    a = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    a = inputs
     pre, act = [], []
     for layer in range(model.num_hidden_layers):
-        if a.shape[1] != model.layer_sizes[layer]:
-            raise ValueError(
-                f"layer {layer} expects inputs of size "
-                f"{model.layer_sizes[layer]}, got {a.shape[1]}"
-            )
+        a = as_inputs(a, model.layer_sizes[layer], f"layer {layer}")
         z = a @ model.weights[layer] + model.hidden_biases[layer]
         a = sigmoid(z)
         pre.append(z)

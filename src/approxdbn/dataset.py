@@ -1,16 +1,4 @@
-"""MNIST IDX loading, binarization, one-hot labels, and dataset splits.
-
-The cache file layout (little-endian) is a 16-byte header followed by the
-raw payload:
-
-    offset  size  field
-    0       4     magic  b"ABDS"
-    4       2     version (currently 1)
-    6       2     reserved, zero
-    8       4     item count
-    12      4     pixels per image
-    16      -     raw pixel bytes (count * pixels), then label bytes (count)
-"""
+"""MNIST IDX loading, binarization, one-hot labels, and dataset splits."""
 
 import struct
 from dataclasses import dataclass
@@ -20,8 +8,8 @@ import numpy as np
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 
-CACHE_MAGIC = b"ABDS"
-CACHE_VERSION = 1
+IMAGE_PIXELS = 28 * 28
+NUM_CLASSES = 10
 BINARIZE_THRESHOLD = 0.5
 
 
@@ -50,7 +38,7 @@ def binarize(pixels):
 @dataclass
 class LabeledBinaryDataset:
     """Binarized images with class labels. ``raw`` keeps the original uint8
-    pixels so grayscale values and cache round-trips stay exact."""
+    pixels so grayscale values stay exact."""
 
     raw: np.ndarray     # (N, 784) uint8
     labels: np.ndarray  # (N,) uint8, values 0..9
@@ -77,7 +65,7 @@ class LabeledBinaryDataset:
     @property
     def one_hot(self) -> np.ndarray:
         """(N, 10) one-hot label vectors."""
-        out = np.zeros((len(self.labels), 10))
+        out = np.zeros((len(self.labels), NUM_CLASSES))
         out[np.arange(len(self.labels)), self.labels] = 1.0
         return out
 
@@ -106,6 +94,11 @@ def load_idx(images_path, labels_path) -> LabeledBinaryDataset:
                 f"{images_path}: magic 0x{magic:08x} at offset 0, "
                 f"expected 0x{IMAGE_MAGIC:08x}"
             )
+        if rows * cols != IMAGE_PIXELS:
+            raise DatasetError(
+                f"{images_path}: images are {rows}x{cols} pixels, "
+                f"expected {IMAGE_PIXELS}"
+            )
         pixels = np.frombuffer(
             _read_exact(f, count * rows * cols, images_path, "pixel data"),
             dtype=np.uint8,
@@ -124,6 +117,12 @@ def load_idx(images_path, labels_path) -> LabeledBinaryDataset:
             _read_exact(f, label_count, labels_path, "label data"),
             dtype=np.uint8,
         )
+        if len(labels) and labels.max() >= NUM_CLASSES:
+            bad = int(np.argmax(labels >= NUM_CLASSES))
+            raise DatasetError(
+                f"{labels_path}: label {labels[bad]} at index {bad} is "
+                f"outside 0..{NUM_CLASSES - 1}"
+            )
 
     if count != label_count:
         raise CountMismatch(
@@ -142,27 +141,3 @@ def split(dataset, validation_fraction, seed):
     perm = np.random.default_rng(seed).permutation(n)
     return dataset.subset(perm[n_val:]), dataset.subset(perm[:n_val])
 
-
-def save_cache(dataset, path):
-    with open(path, "wb") as f:
-        f.write(CACHE_MAGIC)
-        f.write(struct.pack("<HHII", CACHE_VERSION, 0, len(dataset), dataset.raw.shape[1]))
-        f.write(dataset.raw.tobytes())
-        f.write(dataset.labels.tobytes())
-
-
-def load_cache(path) -> LabeledBinaryDataset:
-    with open(path, "rb") as f:
-        header = _read_exact(f, 16, path, "cache header")
-        if header[:4] != CACHE_MAGIC:
-            raise MagicMismatch(f"{path}: bad cache magic at offset 0")
-        version, _, count, pixels = struct.unpack("<HHII", header[4:])
-        if version != CACHE_VERSION:
-            raise DatasetError(f"{path}: unsupported cache version {version}")
-        raw = np.frombuffer(
-            _read_exact(f, count * pixels, path, "pixel data"), dtype=np.uint8
-        ).reshape(count, pixels)
-        labels = np.frombuffer(
-            _read_exact(f, count, path, "label data"), dtype=np.uint8
-        )
-    return LabeledBinaryDataset(raw.copy(), labels.copy())

@@ -12,7 +12,7 @@ probabilities deterministically.
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,6 +44,15 @@ def softmax(z):
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def as_inputs(x, width, layer_name):
+    """``x`` as a float64 batch of rows; rejects rows not ``width`` wide."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape[1] != width:
+        raise ValueError(
+            f"{layer_name} expects inputs of size {width}, got {x.shape[1]}")
+    return x
 
 
 def weight_format(frac_bits, int_bits=8):
@@ -86,13 +95,7 @@ class PrecisionMap:
         )
 
     def copy(self):
-        return PrecisionMap(
-            [b.copy() for b in self.hidden_frac_bits],
-            self.class_frac_bits,
-            self.global_frac_bits,
-            self.weight_int_bits,
-            self.activation_frac_bits,
-        )
+        return replace(self, hidden_frac_bits=[b.copy() for b in self.hidden_frac_bits])
 
     def activation_bits(self, budget):
         """Activation budget for a neuron with the given frac-bit budget;
@@ -175,33 +178,19 @@ class DdbnModel:
         """Activation probabilities of hidden layer ``layer`` (0-based)
         given the previous layer's values; applies the attached precision
         map to pre-activations and activations."""
-        v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-        if v.shape[1] != self.layer_sizes[layer]:
-            raise ValueError(
-                f"layer {layer} expects inputs of size "
-                f"{self.layer_sizes[layer]}, got {v.shape[1]}"
-            )
+        v = as_inputs(v, self.layer_sizes[layer], f"layer {layer}")
         z = v @ self.weights[layer] + self.hidden_biases[layer]
-        if self.precision is not None:
-            pmap = self.precision
-            bits = pmap.hidden_frac_bits[layer]
-            m = pmap.weight_int_bits
-            z = _quantize_columns(z, bits, lambda n: weight_format(n, m))
-            a = _quantize_columns(
-                sigmoid(z), bits,
-                lambda n: activation_format(pmap.activation_bits(n)))
-        else:
-            a = sigmoid(z)
-        return a
+        pmap = self.precision
+        if pmap is None:
+            return sigmoid(z)
+        bits = pmap.hidden_frac_bits[layer]
+        z = _quantize_columns(z, bits, lambda n: weight_format(n, pmap.weight_int_bits))
+        return _quantize_columns(
+            sigmoid(z), bits, lambda n: activation_format(pmap.activation_bits(n)))
 
     def class_probs(self, h):
         """Softmax class probabilities given the top hidden layer."""
-        h = np.atleast_2d(np.asarray(h, dtype=np.float64))
-        if h.shape[1] != self.layer_sizes[-2]:
-            raise ValueError(
-                f"class layer expects inputs of size {self.layer_sizes[-2]}, "
-                f"got {h.shape[1]}"
-            )
+        h = as_inputs(h, self.layer_sizes[-2], "class layer")
         z = h @ self.class_weights + self.class_bias
         if self.precision is not None:
             n = self.precision.class_frac_bits
@@ -213,39 +202,42 @@ class DdbnModel:
 
     def forward_hidden(self, v):
         """Mean-field propagation through all hidden layers."""
-        a = np.atleast_2d(np.asarray(v, dtype=np.float64))
         for layer in range(self.num_hidden_layers):
-            a = self.hidden_probs(layer, a)
-        return a
+            v = self.hidden_probs(layer, v)
+        return v
 
-    def classify(self, v, mode="mean_field", samples=10, seed=0):
+    def classify(self, v, mode="mean_field", samples=10, seed=0, chunk=2048):
         """Predict classes. Returns (predicted classes, class probability
-        vectors); ties resolve to the lowest class index."""
+        vectors); ties resolve to the lowest class index. Mean-field mode
+        propagates ``chunk`` rows at a time; stochastic mode seeds sample
+        i's generator with (seed, i)."""
         v = np.asarray(v, dtype=np.float64)
         single = v.ndim == 1
         v = np.atleast_2d(v)
-        if mode == "mean_field":
-            probs = self.class_probs(self.forward_hidden(v))
-        elif mode == "stochastic":
-            if samples < 1:
-                raise ValueError("stochastic mode needs samples >= 1")
-            probs = np.empty((len(v), self.layer_sizes[-1]))
-            for i, x in enumerate(v):
+        if mode not in ("mean_field", "stochastic"):
+            raise ValueError(f"unknown inference mode {mode!r}")
+        if mode == "stochastic" and samples < 1:
+            raise ValueError("stochastic mode needs samples >= 1")
+        probs = np.empty((len(v), self.layer_sizes[-1]))
+        for start in range(0, len(v), chunk):
+            batch = v[start:start + chunk]
+            if mode == "mean_field":
+                probs[start:start + len(batch)] = self.class_probs(
+                    self.forward_hidden(batch))
+                continue
+            for i, x in enumerate(batch, start):
                 rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
                 probs[i] = self._stochastic_probs(x, samples, rng)
-        else:
-            raise ValueError(f"unknown inference mode {mode!r}")
         pred = np.argmax(probs, axis=1)
         if single:
             return int(pred[0]), probs[0]
         return pred, probs
 
     def _stochastic_probs(self, x, samples, rng):
-        a = self.hidden_probs(0, x[None, :])
-        h = (rng.random((samples, a.shape[1])) < a).astype(np.float64)
-        for layer in range(1, self.num_hidden_layers):
+        h = x[None, :]
+        for layer in range(self.num_hidden_layers):
             a = self.hidden_probs(layer, h)
-            h = (rng.random(a.shape) < a).astype(np.float64)
+            h = (rng.random((samples, a.shape[1])) < a).astype(np.float64)
         return self.class_probs(h).mean(axis=0)
 
     # ---- precision -----------------------------------------------------
@@ -254,24 +246,10 @@ class DdbnModel:
         """Quantize every parameter under ``pmap`` and attach the map; the
         result satisfies the quantization fixpoint invariant."""
         m = self.copy()
-        wm = pmap.weight_int_bits
-        for layer in range(m.num_hidden_layers):
-            bits = pmap.hidden_frac_bits[layer]
-            m.weights[layer] = _quantize_columns(
-                m.weights[layer], bits, lambda n: weight_format(n, wm))
-            m.hidden_biases[layer] = _quantize_columns(
-                m.hidden_biases[layer], bits, lambda n: weight_format(n, wm))
-            if layer == 0:
-                vfmt = weight_format(pmap.global_frac_bits, wm)
-                m.visible_biases[layer] = quantize_all(m.visible_biases[layer], vfmt)
-            else:
-                m.visible_biases[layer] = _quantize_columns(
-                    m.visible_biases[layer], pmap.hidden_frac_bits[layer - 1],
-                    lambda n: weight_format(n, wm))
-        cfmt = weight_format(pmap.class_frac_bits, wm)
-        m.class_weights = quantize_all(m.class_weights, cfmt)
-        m.class_bias = quantize_all(m.class_bias, cfmt)
         m.precision = pmap.copy()
+        for layer in range(m.num_hidden_layers):
+            _requantize_layer(m, layer)
+        _requantize_class(m)
         return m
 
 
@@ -295,19 +273,17 @@ def _requantize_layer(model, layer):
     pmap = model.precision
     if pmap is None:
         return
-    wm = pmap.weight_int_bits
+
+    def fmt(n):
+        return weight_format(n, pmap.weight_int_bits)
+
     bits = pmap.hidden_frac_bits[layer]
-    model.weights[layer] = _quantize_columns(
-        model.weights[layer], bits, lambda n: weight_format(n, wm))
-    model.hidden_biases[layer] = _quantize_columns(
-        model.hidden_biases[layer], bits, lambda n: weight_format(n, wm))
-    if layer == 0:
-        vfmt = weight_format(pmap.global_frac_bits, wm)
-        model.visible_biases[layer] = quantize_all(model.visible_biases[layer], vfmt)
-    else:
-        model.visible_biases[layer] = _quantize_columns(
-            model.visible_biases[layer], pmap.hidden_frac_bits[layer - 1],
-            lambda n: weight_format(n, wm))
+    model.weights[layer] = _quantize_columns(model.weights[layer], bits, fmt)
+    model.hidden_biases[layer] = _quantize_columns(model.hidden_biases[layer], bits, fmt)
+    vb = model.visible_biases[layer]
+    model.visible_biases[layer] = (
+        quantize_all(vb, fmt(pmap.global_frac_bits)) if layer == 0
+        else _quantize_columns(vb, pmap.hidden_frac_bits[layer - 1], fmt))
 
 
 def _requantize_class(model):
@@ -319,41 +295,6 @@ def _requantize_class(model):
     model.class_bias = quantize_all(model.class_bias, cfmt)
 
 
-def _train_rbm(model, layer, data, config, rng):
-    """CD-k on one plain RBM. Under a precision map, gradients accumulate
-    in full-precision master parameters while the model's own parameters
-    (used by every forward pass) are re-quantized after each update."""
-    master_w = model.weights[layer].copy()
-    master_hb = model.hidden_biases[layer].copy()
-    master_vb = model.visible_biases[layer].copy()
-    vel_w = np.zeros_like(master_w)
-    vel_hb = np.zeros_like(master_hb)
-    vel_vb = np.zeros_like(master_vb)
-    n = len(data)
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            v0 = data[order[start:start + config.batch_size]]
-            ph0 = sigmoid(v0 @ model.weights[layer] + model.hidden_biases[layer])
-            phk, vk = ph0, v0
-            for _ in range(config.cd_steps):
-                hk = (rng.random(phk.shape) < phk).astype(np.float64)
-                vk = sigmoid(hk @ model.weights[layer].T + model.visible_biases[layer])
-                phk = sigmoid(vk @ model.weights[layer] + model.hidden_biases[layer])
-            b = len(v0)
-            lr = config.learning_rate
-            vel_w = config.momentum * vel_w + lr * (v0.T @ ph0 - vk.T @ phk) / b
-            vel_hb = config.momentum * vel_hb + lr * (ph0 - phk).mean(axis=0)
-            vel_vb = config.momentum * vel_vb + lr * (v0 - vk).mean(axis=0)
-            master_w = master_w + vel_w
-            master_hb = master_hb + vel_hb
-            master_vb = master_vb + vel_vb
-            model.weights[layer] = master_w
-            model.hidden_biases[layer] = master_hb
-            model.visible_biases[layer] = master_vb
-            _requantize_layer(model, layer)
-
-
 def _sample_one_hot(probs, rng):
     u = rng.random(len(probs))
     idx = (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1)
@@ -363,55 +304,77 @@ def _sample_one_hot(probs, rng):
     return out
 
 
-def _train_top_rbm(model, data, targets, config, rng):
-    """Discriminative top RBM: visible layer is [h_prev, one-hot class];
-    the class block reconstructs through a softmax, sampling one class."""
-    layer = model.num_hidden_layers - 1
-    master_w = model.weights[layer].copy()
-    master_cw = model.class_weights.copy()
-    master_hb = model.hidden_biases[layer].copy()
-    master_vb = model.visible_biases[layer].copy()
-    master_cb = model.class_bias.copy()
-    vel_w = np.zeros_like(master_w)
-    vel_cw = np.zeros_like(master_cw)
-    vel_hb = np.zeros_like(master_hb)
-    vel_vb = np.zeros_like(master_vb)
-    vel_cb = np.zeros_like(master_cb)
+def _rbm_params(model, layer, top):
+    """[W, hidden bias, visible bias] of the RBM under hidden layer
+    ``layer``, plus [class weights, class bias] for the top RBM."""
+    params = [model.weights[layer], model.hidden_biases[layer],
+              model.visible_biases[layer]]
+    return params + [model.class_weights, model.class_bias] if top else params
+
+
+def _set_rbm_params(model, layer, params):
+    w, hb, vb, *cls = params
+    model.weights[layer], model.hidden_biases[layer] = w, hb
+    model.visible_biases[layer] = vb
+    if cls:
+        model.class_weights, model.class_bias = cls
+
+
+def _cd(model, layer, data, config, rng, targets=None):
+    """CD-k on the RBM under hidden layer ``layer``. With ``targets`` it is
+    the discriminative top RBM: a one-hot class block joins the visible
+    layer and reconstructs through a softmax, sampling one class
+    (Larochelle & Bengio, 2008). Under a precision map, gradients
+    accumulate in full-precision master parameters while the model's own
+    parameters (used by every forward pass) are re-quantized after each
+    update."""
+    top = targets is not None
+    master = [p.copy() for p in _rbm_params(model, layer, top)]
+    vel = [np.zeros_like(p) for p in master]
     n = len(data)
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             sel = order[start:start + config.batch_size]
-            x0, t0 = data[sel], targets[sel]
-            ph0 = sigmoid(x0 @ model.weights[layer] + t0 @ model.class_weights.T
-                          + model.hidden_biases[layer])
+            x0 = data[sel]
+            t0 = targets[sel] if top else None
+            w, hb, vb, *cls = _rbm_params(model, layer, top)
+
+            def up(x, t):
+                z = x @ w if t is None else x @ w + t @ cls[0].T
+                return sigmoid(z + hb)
+
+            ph0 = up(x0, t0)
             phk, xk, tk = ph0, x0, t0
             for _ in range(config.cd_steps):
                 hk = (rng.random(phk.shape) < phk).astype(np.float64)
-                xk = sigmoid(hk @ model.weights[layer].T + model.visible_biases[layer])
-                tk = _sample_one_hot(
-                    softmax(hk @ model.class_weights + model.class_bias), rng)
-                phk = sigmoid(xk @ model.weights[layer] + tk @ model.class_weights.T
-                              + model.hidden_biases[layer])
+                xk = sigmoid(hk @ w.T + vb)
+                if top:
+                    tk = _sample_one_hot(softmax(hk @ cls[0] + cls[1]), rng)
+                phk = up(xk, tk)
             b = len(x0)
             lr = config.learning_rate
-            vel_w = config.momentum * vel_w + lr * (x0.T @ ph0 - xk.T @ phk) / b
-            vel_cw = config.momentum * vel_cw + lr * (ph0.T @ t0 - phk.T @ tk) / b
-            vel_hb = config.momentum * vel_hb + lr * (ph0 - phk).mean(axis=0)
-            vel_vb = config.momentum * vel_vb + lr * (x0 - xk).mean(axis=0)
-            vel_cb = config.momentum * vel_cb + lr * (t0 - tk).mean(axis=0)
-            master_w = master_w + vel_w
-            master_cw = master_cw + vel_cw
-            master_hb = master_hb + vel_hb
-            master_vb = master_vb + vel_vb
-            master_cb = master_cb + vel_cb
-            model.weights[layer] = master_w
-            model.class_weights = master_cw
-            model.hidden_biases[layer] = master_hb
-            model.visible_biases[layer] = master_vb
-            model.class_bias = master_cb
+            grads = [lr * (x0.T @ ph0 - xk.T @ phk) / b,
+                     lr * (ph0 - phk).mean(axis=0),
+                     lr * (x0 - xk).mean(axis=0)]
+            if top:
+                grads += [lr * (ph0.T @ t0 - phk.T @ tk) / b,
+                          lr * (t0 - tk).mean(axis=0)]
+            for i, g in enumerate(grads):
+                vel[i] = config.momentum * vel[i] + g
+                master[i] = master[i] + vel[i]
+            _set_rbm_params(model, layer, master)
             _requantize_layer(model, layer)
-            _requantize_class(model)
+            if top:
+                _requantize_class(model)
+
+
+def _train_rbm(model, layer, data, config, rng):
+    _cd(model, layer, data, config, rng)
+
+
+def _train_top_rbm(model, data, targets, config, rng):
+    _cd(model, model.num_hidden_layers - 1, data, config, rng, targets)
 
 
 def _train_stack(model, images, one_hot, config):
@@ -448,39 +411,18 @@ def retrain_quantized(model, pmap, images, one_hot, config) -> DdbnModel:
 def evaluate_accuracy(model, images, labels, mode="mean_field",
                       samples=10, seed=0, chunk=2048):
     """Fraction of samples classified correctly."""
-    images = np.asarray(images, dtype=np.float64)
-    labels = np.asarray(labels)
     if len(images) == 0:
         raise ValueError("evaluation set is empty")
-    correct = 0
-    for start in range(0, len(images), chunk):
-        batch = images[start:start + chunk]
-        if mode == "stochastic":
-            preds = np.empty(len(batch), dtype=np.int64)
-            for i, x in enumerate(batch):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([seed, start + i]))
-                preds[i] = int(np.argmax(model._stochastic_probs(x, samples, rng)))
-        else:
-            preds, _ = model.classify(batch, mode=mode)
-        correct += int((preds == labels[start:start + chunk]).sum())
-    return correct / len(images)
+    preds, _ = model.classify(images, mode, samples, seed, chunk)
+    return int((preds == np.asarray(labels)).sum()) / len(images)
 
 
 def confusion_counts(model, images, labels, mode="mean_field",
                      samples=10, seed=0):
     """10x10 matrix of (true label, predicted label) counts."""
+    preds, _ = model.classify(images, mode, samples, seed)
     counts = np.zeros((10, 10), dtype=np.int64)
-    images = np.asarray(images, dtype=np.float64)
-    if mode == "stochastic":
-        for i, x in enumerate(images):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-            pred = int(np.argmax(model._stochastic_probs(x, samples, rng)))
-            counts[labels[i], pred] += 1
-    else:
-        preds, _ = model.classify(images, mode=mode)
-        for t, p in zip(labels, preds):
-            counts[t, p] += 1
+    np.add.at(counts, (np.asarray(labels), preds), 1)
     return counts
 
 
@@ -577,24 +519,3 @@ def load_model(path) -> DdbnModel:
     return DdbnModel(sizes, weights, h_biases, v_biases, class_weights,
                      class_bias, pmap, metadata)
 
-
-def export_text(model, path):
-    """Human-readable diagnostic dump of parameters and precision map."""
-    with open(path, "w") as f:
-        f.write(f"layer_sizes: {model.layer_sizes}\n")
-        if model.precision is not None:
-            p = model.precision
-            f.write(f"class_frac_bits: {p.class_frac_bits}\n")
-            f.write(f"global_frac_bits: {p.global_frac_bits}\n")
-            for i, bits in enumerate(p.hidden_frac_bits):
-                f.write(f"hidden_frac_bits[{i}]: {' '.join(map(str, bits))}\n")
-        else:
-            f.write("precision: none\n")
-        for layer in range(model.num_hidden_layers):
-            f.write(f"\n# hidden layer {layer}\n")
-            np.savetxt(f, model.weights[layer], header=f"W[{layer}]")
-            np.savetxt(f, model.hidden_biases[layer][None, :], header=f"b[{layer}]")
-            np.savetxt(f, model.visible_biases[layer][None, :], header=f"bv[{layer}]")
-        f.write("\n# class layer\n")
-        np.savetxt(f, model.class_weights, header="Wc")
-        np.savetxt(f, model.class_bias[None, :], header="bc")

@@ -76,23 +76,18 @@ class FixedPointFormat:
 
 
 def quantize(x: float, fmt: FixedPointFormat) -> float:
-    """Saturate ``x`` into the format's range, then round to the nearest
-    multiple of 2^-n with ties away from zero."""
-    if fmt.total_bits == 0:
-        return 0.0
-    x = min(max(x, fmt.min_value), fmt.max_value)
-    scale = 2.0 ** fmt.frac_bits
-    q = np.sign(x) * np.floor(abs(x) * scale + 0.5) / scale
-    # rounding at the range edge can step past the saturation bound
-    return float(min(max(q, fmt.min_value), fmt.max_value))
+    """Scalar :func:`quantize_all`."""
+    return float(quantize_all(x, fmt))
 
 
 def quantize_all(values: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
-    """Element-wise :func:`quantize`; preserves shape."""
+    """Saturate each value into the format's range, then round to the
+    nearest multiple of 2^-n with ties away from zero; preserves shape."""
     values = np.asarray(values, dtype=np.float64)
     if fmt.total_bits == 0:
         return np.zeros_like(values)
     x = np.clip(values, fmt.min_value, fmt.max_value)
     scale = 2.0 ** fmt.frac_bits
     q = np.sign(x) * np.floor(np.abs(x) * scale + 0.5) / scale
+    # rounding at the range edge can step past the saturation bound
     return np.clip(q, fmt.min_value, fmt.max_value)

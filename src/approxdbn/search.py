@@ -11,7 +11,7 @@ sweep that breaks the constraint. Bit budgets never increase.
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -40,8 +40,14 @@ class SearchConfig:
     def __post_init__(self):
         if not 0 < self.max_relative_accuracy_loss < 1:
             raise ValueError("max_relative_accuracy_loss must be in (0, 1)")
+        if self.baseline_frac_bits < 0:
+            raise ValueError("baseline_frac_bits must be >= 0")
         if self.phase1_step < 1 or self.level3_step < 1:
             raise ValueError("reduction steps must be >= 1")
+        if self.eval_mode not in ("mean_field", "stochastic"):
+            raise ValueError(f"unknown eval_mode {self.eval_mode!r}")
+        if self.eval_samples < 1:
+            raise ValueError("eval_samples must be >= 1")
 
 
 @dataclass
@@ -53,13 +59,7 @@ class TraceRecord:
     total_bits: int
 
     def to_json(self):
-        return json.dumps({
-            "phase": self.phase,
-            "iteration": self.iteration,
-            "event": self.event,
-            "relative_accuracy": self.relative_accuracy,
-            "total_bits": self.total_bits,
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def write_trace(records, path):
@@ -90,50 +90,42 @@ def bit_length_histogram(pmap):
     return sorted(counts.items())
 
 
-class _Evaluator:
-    def __init__(self, images, labels, config):
-        self.images = images
-        self.labels = labels
-        self.config = config
-
-    def __call__(self, model):
-        return evaluate_accuracy(
-            model, self.images, self.labels, mode=self.config.eval_mode,
-            samples=self.config.eval_samples, seed=self.config.eval_seed)
+def _evaluator(images, labels, config):
+    """Accuracy of a model on (images, labels) under the search's
+    evaluation settings."""
+    return lambda model: evaluate_accuracy(
+        model, images, labels, mode=config.eval_mode,
+        samples=config.eval_samples, seed=config.eval_seed)
 
 
 def phase1_uniform(model, config, val_images, val_labels):
     """Uniform reduction from the baseline format. Returns the quantized
     model, its precision map, the trace, and the full-precision baseline
     accuracy on the constraint split."""
-    evaluate = _Evaluator(val_images, val_labels, config)
+    evaluate = _evaluator(val_images, val_labels, config)
     baseline_acc = evaluate(model)
-    threshold = (1.0 - config.max_relative_accuracy_loss) * baseline_acc
-    hidden_sizes = model.hidden_sizes
-
-    n = config.baseline_frac_bits
-    pmap = PrecisionMap.uniform(hidden_sizes, n, config.weight_int_bits)
-    current = model.apply_precision(pmap)
-    acc = evaluate(current)
-    if acc < threshold:
+    if baseline_acc == 0:
         raise InfeasibleConstraint(
-            f"baseline format Q{config.weight_int_bits}.{n} reaches accuracy "
-            f"{acc:.4f}, below the constraint {threshold:.4f}")
-    trace = [TraceRecord("phase1", 0, "approximate", acc / baseline_acc,
-                         pmap.total_hidden_bits())]
-    iteration = 1
-    while n - config.phase1_step >= 0:
-        n_next = n - config.phase1_step
-        pmap_next = PrecisionMap.uniform(hidden_sizes, n_next,
+            "the full-precision model classifies no validation sample "
+            "correctly, so relative accuracy is undefined")
+    threshold = (1.0 - config.max_relative_accuracy_loss) * baseline_acc
+    trace = []
+    n = config.baseline_frac_bits
+    while n >= 0:
+        pmap_next = PrecisionMap.uniform(model.hidden_sizes, n,
                                          config.weight_int_bits)
         candidate = model.apply_precision(pmap_next)
-        acc_next = evaluate(candidate)
-        if acc_next < threshold:
+        acc = evaluate(candidate)
+        if acc < threshold:
+            if not trace:
+                raise InfeasibleConstraint(
+                    f"baseline format Q{config.weight_int_bits}.{n} reaches "
+                    f"accuracy {acc:.4f}, below the constraint {threshold:.4f}")
             break
-        n, pmap, current, acc = n_next, pmap_next, candidate, acc_next
-        trace.append(TraceRecord("phase1", iteration, "approximate",
+        pmap, current = pmap_next, candidate
+        trace.append(TraceRecord("phase1", len(trace), "approximate",
                                  acc / baseline_acc, pmap.total_hidden_bits()))
-        iteration += 1
+        n -= config.phase1_step
     return current, pmap, trace, baseline_acc
 
 
@@ -171,7 +163,7 @@ def phase2_greedy(model, pmap, config, train_images, train_one_hot,
                   train_config=None, order_seed=0):
     """Criticality-ordered per-neuron reduction with quantization-aware
     retraining; the class layer stays frozen at its Phase-1 format."""
-    evaluate = _Evaluator(val_images, val_labels, config)
+    evaluate = _evaluator(val_images, val_labels, config)
     threshold = (1.0 - config.max_relative_accuracy_loss) * baseline_acc
     if train_config is None:
         train_config = TrainConfig()
@@ -254,7 +246,7 @@ def run_approxdbn(model, config, train_images, train_one_hot,
         retrain=variant in ("full", "no_criticality"),
         train_config=train_config, order_seed=order_seed)
     trace = trace + p2_trace
-    final_acc = _Evaluator(val_images, val_labels, config)(current)
+    final_acc = _evaluator(val_images, val_labels, config)(current)
     report = {
         "variant": variant,
         "baseline_accuracy": baseline_acc,
@@ -269,14 +261,6 @@ def run_approxdbn(model, config, train_images, train_one_hot,
     return SearchResult(current, pmap, trace, baseline_acc, final_acc, report)
 
 
-def ablation_run(variant, model, config, train_images, train_one_hot,
-                 val_images, val_labels, train_config=None,
-                 order_seed=0) -> SearchResult:
-    return run_approxdbn(model, config, train_images, train_one_hot,
-                         val_images, val_labels, variant=variant,
-                         train_config=train_config, order_seed=order_seed)
-
-
 def approximation_curve(model, config, train_images, train_one_hot,
                         eval_images, eval_labels, order="criticality",
                         order_seed=0):
@@ -287,7 +271,7 @@ def approximation_curve(model, config, train_images, train_one_hot,
     rng = np.random.default_rng(order_seed)
     ordering = _neuron_order(model, pmap, config, order == "criticality",
                              train_images, train_one_hot, rng)
-    evaluate = _Evaluator(eval_images, eval_labels, config)
+    evaluate = _evaluator(eval_images, eval_labels, config)
     accuracies = [evaluate(model.apply_precision(pmap))]
     for layer, idx in ordering:
         pmap.hidden_frac_bits[layer][idx] = 0

@@ -27,7 +27,6 @@ from approxdbn.ddbn import (
 from approxdbn.fixedpoint import quantize_all
 from approxdbn.search import (
     SearchConfig,
-    ablation_run,
     approximation_curve,
     run_approxdbn,
 )
@@ -183,9 +182,9 @@ def test_ablation_median_ordering(mnist):
         train_config = TrainConfig(seed=seed)
         model = train_ddbn(tr.images, tr.one_hot, LAYER_SIZES, train_config)
         for variant in variants:
-            res = ablation_run(variant, model, config, tr.images, tr.one_hot,
-                               va.images, va.labels,
-                               train_config=train_config, order_seed=seed)
+            res = run_approxdbn(model, config, tr.images, tr.one_hot,
+                                va.images, va.labels, variant=variant,
+                                train_config=train_config, order_seed=seed)
             totals[variant].append(res.precision_map.total_hidden_bits())
     med = {v: float(np.median(t)) for v, t in totals.items()}
     ok = (med["full"] <= med["no_retrain"]

@@ -186,3 +186,53 @@ class TestEvalCommand:
         assert cli.main(["eval", "--model", str(tmp / "missing.bin"),
                          "--images", config["test_images"],
                          "--labels", config["test_labels"]]) == cli.EXIT_DATA
+
+
+def write_bad_data(tmp, fault):
+    """An IDX pair with labels outside 0..9 or images 100 pixels wide."""
+    rng = np.random.default_rng(1)
+    labels = rng.integers(0, 10, 20, dtype=np.uint8)
+    width = 100 if fault == "width" else 784
+    if fault == "label":
+        labels[7] = 10
+    images = rng.integers(0, 256, (20, width), dtype=np.uint8)
+    write_idx_pair(images, labels, tmp / "bad_imgs", tmp / "bad_lbls")
+    return "bad_lbls" if fault == "label" else "bad_imgs"
+
+
+@pytest.mark.parametrize("fault", ["label", "width"])
+class TestBadData:
+    def test_train(self, workspace, capsys, fault):
+        tmp, cfg, config = workspace
+        culprit = write_bad_data(tmp, fault)
+        config["train_images"] = str(tmp / "bad_imgs")
+        config["train_labels"] = str(tmp / "bad_lbls")
+        write_config(cfg, config)
+        assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_DATA
+        assert culprit in capsys.readouterr().err
+
+    def test_eval(self, trained, capsys, fault):
+        tmp, cfg, config, model = trained
+        culprit = write_bad_data(tmp, fault)
+        assert cli.main(["eval", "--model", model, "--images", str(tmp / "bad_imgs"),
+                         "--labels", str(tmp / "bad_lbls")]) == cli.EXIT_DATA
+        assert culprit in capsys.readouterr().err
+
+
+class TestSampleCounts:
+    def test_eval_samples_flag(self, trained):
+        tmp, cfg, config, model = trained
+        assert cli.main(["eval", "--model", model, "--images", config["test_images"],
+                         "--labels", config["test_labels"], "--mode", "stochastic",
+                         "--samples", "0"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("eval", "samples", 0),
+        ("search", "eval_samples", 0),
+        ("search", "eval_mode", "sampled"),
+    ])
+    def test_config_values(self, workspace, section, key, value):
+        tmp, cfg, config = workspace
+        config.setdefault(section, {})[key] = value
+        write_config(cfg, config)
+        assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_CONFIG

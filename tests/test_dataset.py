@@ -57,6 +57,24 @@ class TestLoadIdx:
             ds.load_idx(str(cut), lp)
         assert "offset" in str(e.value)
 
+    def test_label_out_of_range(self, tmp_path, idx_pair):
+        images, labels, ip, _ = idx_pair
+        lp = tmp_path / "big_labels"
+        bad = labels.copy()
+        bad[5] = 10
+        write_idx_pair(images, bad, tmp_path / "unused", lp)
+        with pytest.raises(ds.DatasetError) as e:
+            ds.load_idx(ip, str(lp))
+        assert "big_labels" in str(e.value) and "index 5" in str(e.value)
+
+    def test_wrong_image_size(self, tmp_path, idx_pair):
+        _, labels, _, lp = idx_pair
+        ip = tmp_path / "small_images"
+        write_idx_pair(np.zeros((40, 100), np.uint8), labels, ip, tmp_path / "unused")
+        with pytest.raises(ds.DatasetError) as e:
+            ds.load_idx(str(ip), lp)
+        assert "small_images" in str(e.value)
+
     def test_grayscale_scaling(self, idx_pair):
         _, _, ip, lp = idx_pair
         data = ds.load_idx(ip, lp)
@@ -107,33 +125,6 @@ class TestSplit:
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):
             ds.split(self._dataset(), 1.0, seed=0)
-
-
-class TestCache:
-    def test_round_trip(self, tmp_path, idx_pair):
-        _, _, ip, lp = idx_pair
-        data = ds.load_idx(ip, lp)
-        path = tmp_path / "cache.bin"
-        ds.save_cache(data, path)
-        again = ds.load_cache(path)
-        np.testing.assert_array_equal(data.raw, again.raw)
-        np.testing.assert_array_equal(data.labels, again.labels)
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "junk"
-        p.write_bytes(b"XXXX" + b"\0" * 12)
-        with pytest.raises(ds.MagicMismatch):
-            ds.load_cache(p)
-
-    def test_version_check(self, tmp_path, idx_pair):
-        _, _, ip, lp = idx_pair
-        path = tmp_path / "cache.bin"
-        ds.save_cache(ds.load_idx(ip, lp), path)
-        blob = bytearray(path.read_bytes())
-        blob[4] = 99
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ds.DatasetError):
-            ds.load_cache(path)
 
 
 def test_one_hot_sums_to_one(idx_pair):

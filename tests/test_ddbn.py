@@ -350,8 +350,3 @@ class TestSerialization:
         with pytest.raises(VersionMismatch):
             load_model(path)
 
-    def test_text_export(self, tmp_path):
-        path = tmp_path / "dump.txt"
-        ddbn.export_text(self._model(), path)
-        text = path.read_text()
-        assert "layer_sizes" in text and "class_frac_bits" in text

@@ -41,6 +41,12 @@ class TestSearchConfig:
             SearchConfig(max_relative_accuracy_loss=0.0)
         with pytest.raises(ValueError):
             SearchConfig(phase1_step=0)
+        with pytest.raises(ValueError):
+            SearchConfig(eval_samples=0)
+        with pytest.raises(ValueError):
+            SearchConfig(eval_mode="sampled")
+        with pytest.raises(ValueError):
+            SearchConfig(baseline_frac_bits=-1)
 
 
 class TestLevel2Schedule:
@@ -81,6 +87,14 @@ class TestPhase1:
         with pytest.raises(InfeasibleConstraint):
             phase1_uniform(model, SearchConfig(), np.ones((1, 6)),
                            np.zeros(1, dtype=int))
+
+    def test_zero_baseline_accuracy_is_infeasible(self):
+        model = DdbnModel.random_init([6, 4, 3, 10], seed=0)
+        X = (np.random.default_rng(0).random((20, 6)) > 0.5).astype(float)
+        preds, _ = model.classify(X)
+        never_predicted = (preds + 1) % 10
+        with pytest.raises(InfeasibleConstraint):
+            phase1_uniform(model, SearchConfig(), X, never_predicted)
 
     def test_wide_formats_match_full_precision(self, tiny_setup):
         model, X, _, y, _ = tiny_setup
@@ -133,17 +147,17 @@ class TestAblations:
     def test_no_retrain_has_no_retrain_events(self, tiny_setup):
         model, X, T, y, tcfg = tiny_setup
         cfg = SearchConfig(max_relative_accuracy_loss=0.10, retrain_epochs=1)
-        res = search.ablation_run("no_retrain", model, cfg, X, T, X, y,
-                                  train_config=tcfg)
+        res = run_approxdbn(model, cfg, X, T, X, y, variant="no_retrain",
+                            train_config=tcfg)
         assert all(r.event != "retrain" for r in res.trace)
 
     def test_neither_skips_both(self, tiny_setup):
         model, X, T, y, tcfg = tiny_setup
         cfg = SearchConfig(max_relative_accuracy_loss=0.10, retrain_epochs=1)
-        r1 = search.ablation_run("neither", model, cfg, X, T, X, y,
-                                 train_config=tcfg, order_seed=5)
-        r2 = search.ablation_run("neither", model, cfg, X, T, X, y,
-                                 train_config=tcfg, order_seed=5)
+        r1 = run_approxdbn(model, cfg, X, T, X, y, variant="neither",
+                           train_config=tcfg, order_seed=5)
+        r2 = run_approxdbn(model, cfg, X, T, X, y, variant="neither",
+                           train_config=tcfg, order_seed=5)
         assert all(r.event != "retrain" for r in r1.trace)
         assert [r.total_bits for r in r1.trace] == [r.total_bits for r in r2.trace]
 
