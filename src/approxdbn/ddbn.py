@@ -20,6 +20,7 @@ from .fixedpoint import FixedPointFormat, quantize_all
 
 MODEL_MAGIC = b"ADBN"
 MODEL_VERSION = 1
+_CHUNK = 2048  # rows per mean-field propagation step in classify
 
 
 class ModelFileError(Exception):
@@ -206,10 +207,10 @@ class DdbnModel:
             v = self.hidden_probs(layer, v)
         return v
 
-    def classify(self, v, mode="mean_field", samples=10, seed=0, chunk=2048):
+    def classify(self, v, mode="mean_field", samples=10, seed=0):
         """Predict classes. Returns (predicted classes, class probability
         vectors); ties resolve to the lowest class index. Mean-field mode
-        propagates ``chunk`` rows at a time; stochastic mode seeds sample
+        propagates ``_CHUNK`` rows at a time; stochastic mode seeds sample
         i's generator with (seed, i)."""
         v = np.asarray(v, dtype=np.float64)
         single = v.ndim == 1
@@ -219,13 +220,12 @@ class DdbnModel:
         if mode == "stochastic" and samples < 1:
             raise ValueError("stochastic mode needs samples >= 1")
         probs = np.empty((len(v), self.layer_sizes[-1]))
-        for start in range(0, len(v), chunk):
-            batch = v[start:start + chunk]
-            if mode == "mean_field":
-                probs[start:start + len(batch)] = self.class_probs(
-                    self.forward_hidden(batch))
-                continue
-            for i, x in enumerate(batch, start):
+        if mode == "mean_field":
+            for start in range(0, len(v), _CHUNK):
+                probs[start:start + _CHUNK] = self.class_probs(
+                    self.forward_hidden(v[start:start + _CHUNK]))
+        else:
+            for i, x in enumerate(v):
                 rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
                 probs[i] = self._stochastic_probs(x, samples, rng)
         pred = np.argmax(probs, axis=1)
@@ -409,11 +409,11 @@ def retrain_quantized(model, pmap, images, one_hot, config) -> DdbnModel:
 
 
 def evaluate_accuracy(model, images, labels, mode="mean_field",
-                      samples=10, seed=0, chunk=2048):
+                      samples=10, seed=0):
     """Fraction of samples classified correctly."""
     if len(images) == 0:
         raise ValueError("evaluation set is empty")
-    preds, _ = model.classify(images, mode, samples, seed, chunk)
+    preds, _ = model.classify(images, mode, samples, seed)
     return int((preds == np.asarray(labels)).sum()) / len(images)
 
 
