@@ -31,11 +31,11 @@ class ConfigError(Exception):
 _TOP_LEVEL_KEYS = {
     "train_images", "train_labels", "test_images", "test_labels",
     "hidden_sizes", "train_subset", "validation_fraction", "seed",
-    "out_dir", "train", "search", "curve", "eval",
+    "out_dir", "train", "search", "curve",
 }
 _CURVE_KEYS = {"orders", "random_seeds", "eval_split"}
-_EVAL_KEYS = {"mode", "samples", "seed"}
-_SEARCH_EXTRA_KEYS = {"variant", "order_seed"}
+_CURVE_ORDERS = ("criticality", "random")
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
 
 def _check_keys(section, allowed, name):
@@ -44,9 +44,25 @@ def _check_keys(section, allowed, name):
         raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
 
 
+def _typed(value, kind, name):
+    """``value``, if JSON gave it as a ``kind`` (int, float or str); an
+    int counts as a float, a bool as neither."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _seed(value, name):
+    if _typed(value, int, name) < 0:
+        raise ConfigError(f"{name} must be >= 0")
+    return value
+
+
 def _dataclass_from(section, cls, name):
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    _check_keys(section, allowed, name)
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    _check_keys(section, set(types), name)
+    for key, value in section.items():
+        _typed(value, types[key], f"{name}.{key}")
     try:
         return cls(**section)
     except (TypeError, ValueError) as e:
@@ -55,24 +71,32 @@ def _dataclass_from(section, cls, name):
 
 class RunConfig:
     def __init__(self, raw):
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
         _check_keys(raw, _TOP_LEVEL_KEYS, "config")
+        for name in ("train", "search", "curve"):
+            if not isinstance(raw.get(name, {}), dict):
+                raise ConfigError(f"{name} must be a JSON object")
         self.raw = raw
-        self.train_images = raw.get("train_images")
-        self.train_labels = raw.get("train_labels")
+        self.train_images = _typed(raw.get("train_images"), str, "train_images")
+        self.train_labels = _typed(raw.get("train_labels"), str, "train_labels")
         self.test_images = raw.get("test_images")
         self.test_labels = raw.get("test_labels")
+        for key in ("test_images", "test_labels"):
+            if raw.get(key) is not None:
+                _typed(raw[key], str, key)
         self.hidden_sizes = raw.get("hidden_sizes", [100, 50])
         if (not isinstance(self.hidden_sizes, list) or not self.hidden_sizes
-                or any(not isinstance(n, int) or n < 1 for n in self.hidden_sizes)):
+                or any(isinstance(n, bool) or not isinstance(n, int) or n < 1
+                       for n in self.hidden_sizes)):
             raise ConfigError("hidden_sizes must be a nonempty list of positive ints")
-        self.train_subset = raw.get("train_subset", 0)
-        self.validation_fraction = raw.get("validation_fraction", 0.1)
+        self.train_subset = _typed(raw.get("train_subset", 0), int, "train_subset")
+        if self.train_subset < 0:
+            raise ConfigError("train_subset must be >= 0 (0 = every sample)")
+        self.validation_fraction = _typed(raw.get("validation_fraction", 0.1),
+                                          float, "validation_fraction")
         if not 0 <= self.validation_fraction < 1:
             raise ConfigError("validation_fraction must be in [0, 1)")
-        self.seed = raw.get("seed", 0)
-        self.out_dir = raw.get("out_dir", "out")
+        self.seed = _seed(raw.get("seed", 0), "seed")
+        self.out_dir = _typed(raw.get("out_dir", "out"), str, "out_dir")
 
         train_raw = dict(raw.get("train", {}))
         train_raw.setdefault("seed", self.seed)
@@ -82,22 +106,24 @@ class RunConfig:
         self.variant = search_raw.pop("variant", "full")
         if self.variant not in search.VARIANTS:
             raise ConfigError(f"unknown search variant {self.variant!r}")
-        self.order_seed = search_raw.pop("order_seed", self.seed)
+        self.order_seed = _seed(search_raw.pop("order_seed", self.seed),
+                                "search.order_seed")
         self.search_config = _dataclass_from(search_raw, SearchConfig, "search")
 
         curve_raw = raw.get("curve", {})
         _check_keys(curve_raw, _CURVE_KEYS, "curve")
-        self.curve_orders = curve_raw.get("orders", ["criticality", "random"])
+        self.curve_orders = curve_raw.get("orders", list(_CURVE_ORDERS))
+        if (not isinstance(self.curve_orders, list)
+                or any(o not in _CURVE_ORDERS for o in self.curve_orders)):
+            raise ConfigError(f"curve.orders must be a list of {_CURVE_ORDERS}")
         self.curve_random_seeds = curve_raw.get("random_seeds", [0])
+        if not isinstance(self.curve_random_seeds, list):
+            raise ConfigError("curve.random_seeds must be a list")
+        for s in self.curve_random_seeds:
+            _seed(s, "curve.random_seeds")
         self.curve_eval_split = curve_raw.get("eval_split", "validation")
-
-        eval_raw = raw.get("eval", {})
-        _check_keys(eval_raw, _EVAL_KEYS, "eval")
-        self.eval_mode = eval_raw.get("mode", "mean_field")
-        self.eval_samples = eval_raw.get("samples", 10)
-        if not isinstance(self.eval_samples, int) or self.eval_samples < 1:
-            raise ConfigError("eval.samples must be an int >= 1")
-        self.eval_seed = eval_raw.get("seed", self.seed)
+        if self.curve_eval_split not in ("validation", "test"):
+            raise ConfigError("curve.eval_split must be 'validation' or 'test'")
 
     @property
     def layer_sizes(self):
@@ -112,9 +138,13 @@ def load_config(path, overrides):
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
     if overrides.seed is not None:
         raw["seed"] = overrides.seed
-        raw.setdefault("train", {})["seed"] = overrides.seed
+        train = raw.setdefault("train", {})
+        if isinstance(train, dict):
+            train["seed"] = overrides.seed
     if overrides.out is not None:
         raw["out_dir"] = overrides.out
     return RunConfig(raw)
@@ -152,6 +182,7 @@ def cmd_train(config):
         "validation_samples": len(val),
         "seed": config.seed,
     }
+    del train  # frees its cached images before the validation set's
     if len(val):
         summary["validation_accuracy"] = ddbn.evaluate_accuracy(
             model, val.images, val.labels, mode="mean_field")
@@ -182,7 +213,8 @@ def cmd_search(config, model_path):
             result.model, test.images, test.labels, mode="mean_field")
         report["test_accuracy_stochastic"] = ddbn.evaluate_accuracy(
             result.model, test.images, test.labels, mode="stochastic",
-            samples=config.eval_samples, seed=config.eval_seed)
+            samples=config.search_config.eval_samples,
+            seed=config.search_config.eval_seed)
     report["seed"] = config.seed
     with open(os.path.join(out, "report.json"), "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
@@ -195,6 +227,9 @@ def cmd_search(config, model_path):
 
 
 def cmd_curve(config, model_path):
+    if config.curve_eval_split == "test" and not (config.test_images
+                                                  and config.test_labels):
+        raise ConfigError("curve.eval_split 'test' needs test_images and test_labels")
     out = _prepare_out_dir(config)
     model = ddbn.load_model(model_path)
     train, val = _load_train_split(config)
@@ -230,6 +265,8 @@ def cmd_curve(config, model_path):
 def cmd_eval(model_path, images_path, labels_path, mode, samples, seed):
     if samples < 1:
         raise ConfigError("--samples must be >= 1")
+    if seed < 0:
+        raise ConfigError("--seed must be >= 0")
     model = ddbn.load_model(model_path)
     data = ds.load_idx(images_path, labels_path)
     acc = ddbn.evaluate_accuracy(model, data.images, data.labels, mode=mode,

@@ -8,36 +8,28 @@ derivative and the connecting weights. Per-sample derivatives are averaged
 first, then the absolute value is taken.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ddbn import as_inputs, sigmoid, softmax
+from .ddbn import _CHUNK
 
 
 @dataclass
 class ForwardRecord:
-    """Mean-field activations and pre-activations for a batch of inputs."""
+    """Mean-field activations for a batch of inputs."""
 
-    pre_activations: list    # per hidden layer, (B, n_l)
     activations: list        # per hidden layer, (B, n_l)
-    class_pre: np.ndarray    # (B, 10)
     class_probs: np.ndarray  # (B, 10)
 
 
 def forward_mean_field(model, inputs) -> ForwardRecord:
-    """Deterministic full-precision propagation of probabilities; no
-    sampling and no quantization ops (the parameters are used as stored)."""
-    a = inputs
-    pre, act = [], []
-    for layer in range(model.num_hidden_layers):
-        a = as_inputs(a, model.layer_sizes[layer], f"layer {layer}")
-        z = a @ model.weights[layer] + model.hidden_biases[layer]
-        a = sigmoid(z)
-        pre.append(z)
-        act.append(a)
-    zc = a @ model.class_weights + model.class_bias
-    return ForwardRecord(pre, act, zc, softmax(zc))
+    """Deterministic full-precision propagation of probabilities: the
+    model's own mean-field pass with any attached precision map ignored
+    (the parameters are used as stored)."""
+    plain = replace(model, precision=None)
+    activations = plain.forward_hidden(inputs)
+    return ForwardRecord(activations, plain.class_probs(activations[-1]))
 
 
 def top_layer_gradient(record, model, t):
@@ -67,12 +59,9 @@ def per_sample_gradients(model, inputs, targets):
     """Loss derivative w.r.t. every hidden activation, one row per
     sample; returns a list of (B, n_l) arrays, one per hidden layer."""
     record = forward_mean_field(model, inputs)
-    grads = [None] * model.num_hidden_layers
-    g = top_layer_gradient(record, model, targets)
-    grads[-1] = g
+    grads = [top_layer_gradient(record, model, targets)]
     for layer in range(model.num_hidden_layers - 2, -1, -1):
-        g = backprop_gradient(record, model, layer, g)
-        grads[layer] = g
+        grads.insert(0, backprop_gradient(record, model, layer, grads[0]))
     return grads
 
 
@@ -90,18 +79,18 @@ class CriticalityScores:
         ]
 
 
-def criticality_scores(model, inputs, targets, chunk=2048) -> CriticalityScores:
+def criticality_scores(model, inputs, targets) -> CriticalityScores:
     """Average per-sample derivatives over all samples, then take the
-    magnitude. Chunked accumulation in fixed order keeps the result
-    bitwise deterministic."""
+    magnitude. Accumulation over ``_CHUNK``-row chunks in fixed order
+    keeps the result bitwise deterministic."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if len(inputs) == 0:
         raise ValueError("criticality needs a nonempty sample set")
     sums = [np.zeros(n) for n in model.hidden_sizes]
-    for start in range(0, len(inputs), chunk):
+    for start in range(0, len(inputs), _CHUNK):
         grads = per_sample_gradients(
-            model, inputs[start:start + chunk], targets[start:start + chunk])
+            model, inputs[start:start + _CHUNK], targets[start:start + _CHUNK])
         for layer, g in enumerate(grads):
             sums[layer] += g.sum(axis=0)
     n = len(inputs)

@@ -2,6 +2,7 @@
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,7 @@ def binarize(pixels):
 @dataclass
 class LabeledBinaryDataset:
     """Binarized images with class labels. ``raw`` keeps the original uint8
-    pixels so grayscale values stay exact."""
+    pixels."""
 
     raw: np.ndarray     # (N, 784) uint8
     labels: np.ndarray  # (N,) uint8, values 0..9
@@ -52,21 +53,20 @@ class LabeledBinaryDataset:
     def __len__(self):
         return len(self.raw)
 
-    @property
-    def grayscale(self) -> np.ndarray:
-        """Pixels scaled to [0, 1]."""
-        return self.raw.astype(np.float64) / 255.0
-
-    @property
+    @cached_property
     def images(self) -> np.ndarray:
-        """Binarized pixels, values in {0.0, 1.0}."""
-        return binarize(self.grayscale)
+        """Binarized pixels, values in {0.0, 1.0}; computed once and
+        read-only, since every caller shares the array."""
+        images = binarize(self.raw / 255.0)
+        images.flags.writeable = False
+        return images
 
-    @property
+    @cached_property
     def one_hot(self) -> np.ndarray:
-        """(N, 10) one-hot label vectors."""
+        """(N, 10) one-hot label vectors; computed once and read-only."""
         out = np.zeros((len(self.labels), NUM_CLASSES))
         out[np.arange(len(self.labels)), self.labels] = 1.0
+        out.flags.writeable = False
         return out
 
     def subset(self, indices) -> "LabeledBinaryDataset":

@@ -56,19 +56,6 @@ def as_inputs(x, width, layer_name):
     return x
 
 
-def weight_format(frac_bits, int_bits=8):
-    """Signed Qm.n for weights/biases/pre-activations; a 0-bit budget
-    collapses to the zero-only format (pruning)."""
-    if frac_bits == 0:
-        return FixedPointFormat(signed=True, int_bits=0, frac_bits=0)
-    return FixedPointFormat(signed=True, int_bits=int_bits, frac_bits=frac_bits)
-
-
-def activation_format(frac_bits):
-    """Unsigned Q0.n for sigmoid/softmax outputs in [0, 1)."""
-    return FixedPointFormat(signed=False, int_bits=0, frac_bits=frac_bits)
-
-
 @dataclass
 class PrecisionMap:
     """Fractional-bit budgets: one entry per hidden neuron (governs that
@@ -98,12 +85,22 @@ class PrecisionMap:
     def copy(self):
         return replace(self, hidden_frac_bits=[b.copy() for b in self.hidden_frac_bits])
 
-    def activation_bits(self, budget):
-        """Activation budget for a neuron with the given frac-bit budget;
-        a 0-bit (pruned) neuron always has a zero-bit activation."""
-        if budget == 0 or self.activation_frac_bits == 0:
-            return budget
-        return self.activation_frac_bits
+    def weight_format(self, budget):
+        """Signed Qm.n for the weights, biases and pre-activations a
+        budget of n fractional bits governs; a 0-bit budget collapses to
+        the zero-only format (pruning)."""
+        if budget == 0:
+            return FixedPointFormat(signed=True, int_bits=0, frac_bits=0)
+        return FixedPointFormat(signed=True, int_bits=self.weight_int_bits,
+                                frac_bits=budget)
+
+    def activation_format(self, budget):
+        """Unsigned Q0.n for sigmoid/softmax outputs in [0, 1); n is the
+        budget unless ``activation_frac_bits`` fixes it, and a 0-bit
+        (pruned) neuron always has a zero-bit activation."""
+        if budget and self.activation_frac_bits:
+            budget = self.activation_frac_bits
+        return FixedPointFormat(signed=False, int_bits=0, frac_bits=budget)
 
     def total_hidden_bits(self) -> int:
         return int(sum(b.sum() for b in self.hidden_frac_bits))
@@ -185,27 +182,27 @@ class DdbnModel:
         if pmap is None:
             return sigmoid(z)
         bits = pmap.hidden_frac_bits[layer]
-        z = _quantize_columns(z, bits, lambda n: weight_format(n, pmap.weight_int_bits))
-        return _quantize_columns(
-            sigmoid(z), bits, lambda n: activation_format(pmap.activation_bits(n)))
+        z = _quantize_columns(z, bits, pmap.weight_format)
+        return _quantize_columns(sigmoid(z), bits, pmap.activation_format)
 
     def class_probs(self, h):
         """Softmax class probabilities given the top hidden layer."""
         h = as_inputs(h, self.layer_sizes[-2], "class layer")
         z = h @ self.class_weights + self.class_bias
-        if self.precision is not None:
-            n = self.precision.class_frac_bits
-            z = quantize_all(z, weight_format(n, self.precision.weight_int_bits))
-            return quantize_all(
-                softmax(z),
-                activation_format(self.precision.activation_bits(n)))
-        return softmax(z)
+        pmap = self.precision
+        if pmap is None:
+            return softmax(z)
+        n = pmap.class_frac_bits
+        z = quantize_all(z, pmap.weight_format(n))
+        return quantize_all(softmax(z), pmap.activation_format(n))
 
     def forward_hidden(self, v):
-        """Mean-field propagation through all hidden layers."""
+        """Mean-field activations of every hidden layer, first to last."""
+        activations = []
         for layer in range(self.num_hidden_layers):
             v = self.hidden_probs(layer, v)
-        return v
+            activations.append(v)
+        return activations
 
     def classify(self, v, mode="mean_field", samples=10, seed=0):
         """Predict classes. Returns (predicted classes, class probability
@@ -223,7 +220,7 @@ class DdbnModel:
         if mode == "mean_field":
             for start in range(0, len(v), _CHUNK):
                 probs[start:start + _CHUNK] = self.class_probs(
-                    self.forward_hidden(v[start:start + _CHUNK]))
+                    self.forward_hidden(v[start:start + _CHUNK])[-1])
         else:
             for i, x in enumerate(v):
                 rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
@@ -267,16 +264,15 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1 or self.cd_steps < 1 or self.batch_size < 1:
             raise ValueError("epochs, cd_steps and batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _requantize_layer(model, layer):
     pmap = model.precision
     if pmap is None:
         return
-
-    def fmt(n):
-        return weight_format(n, pmap.weight_int_bits)
-
+    fmt = pmap.weight_format
     bits = pmap.hidden_frac_bits[layer]
     model.weights[layer] = _quantize_columns(model.weights[layer], bits, fmt)
     model.hidden_biases[layer] = _quantize_columns(model.hidden_biases[layer], bits, fmt)
@@ -290,7 +286,7 @@ def _requantize_class(model):
     pmap = model.precision
     if pmap is None:
         return
-    cfmt = weight_format(pmap.class_frac_bits, pmap.weight_int_bits)
+    cfmt = pmap.weight_format(pmap.class_frac_bits)
     model.class_weights = quantize_all(model.class_weights, cfmt)
     model.class_bias = quantize_all(model.class_bias, cfmt)
 
@@ -497,6 +493,8 @@ def load_model(path) -> DdbnModel:
         raise VersionMismatch(
             f"{path}: format version {version}, this build reads {MODEL_VERSION}")
     (n_sizes,) = r.unpack("<H")
+    if n_sizes < 3:
+        raise ModelFileError(f"{path}: {n_sizes} layer sizes, a DDBN needs at least 3")
     sizes = list(r.unpack(f"<{n_sizes}I"))
     weights, h_biases, v_biases = [], [], []
     for prev, cur in zip(sizes[:-2], sizes[1:-1]):
@@ -515,7 +513,23 @@ def load_model(path) -> DdbnModel:
         ]
         pmap = PrecisionMap(hidden_bits, cfb, gfb, wib, afb)
     (meta_len,) = r.unpack("<I")
-    metadata = json.loads(r.take(meta_len).decode())
+    try:
+        metadata = json.loads(r.take(meta_len).decode())
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise ModelFileError(f"{path}: bad metadata: {e}") from e
+    if r.pos != len(r.data):
+        raise ModelFileError(
+            f"{path}: {len(r.data) - r.pos} unexpected bytes before the checksum")
+    params = weights + h_biases + v_biases + [class_weights, class_bias]
+    if not all(np.isfinite(p).all() for p in params):
+        raise ModelFileError(f"{path}: a parameter is not finite")
+    if pmap is not None:
+        top = max([cfb, gfb] + [int(b.max(initial=0)) for b in hidden_bits])
+        try:
+            pmap.weight_format(top)
+            pmap.activation_format(top)
+        except ValueError as e:
+            raise ModelFileError(f"{path}: bit budget {top}: {e}") from e
     return DdbnModel(sizes, weights, h_biases, v_biases, class_weights,
                      class_bias, pmap, metadata)
 

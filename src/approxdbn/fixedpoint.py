@@ -51,18 +51,6 @@ class FixedPointFormat:
             return 2.0 ** (self.int_bits - 1) - self.step
         return 2.0 ** self.int_bits - self.step
 
-    @property
-    def notation(self) -> str:
-        """The human-readable "Qm.n" string used in configs and reports."""
-        return f"Q{self.int_bits}.{self.frac_bits}"
-
-    @classmethod
-    def from_notation(cls, q: str, signed: bool) -> "FixedPointFormat":
-        if not q.startswith("Q") or "." not in q:
-            raise ValueError(f"bad format notation {q!r}, expected 'Qm.n'")
-        m, n = q[1:].split(".", 1)
-        return cls(signed=signed, int_bits=int(m), frac_bits=int(n))
-
     def representable_values(self) -> np.ndarray:
         """Every representable value, ascending. Only sensible for small
         formats (used by brute-force oracles)."""

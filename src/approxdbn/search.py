@@ -48,6 +48,14 @@ class SearchConfig:
             raise ValueError(f"unknown eval_mode {self.eval_mode!r}")
         if self.eval_samples < 1:
             raise ValueError("eval_samples must be >= 1")
+        if self.eval_seed < 0 or self.criticality_samples < 0:
+            raise ValueError("eval_seed and criticality_samples must be >= 0")
+        if self.retrain_epochs < 1 or self.retrain_learning_rate < 0:
+            raise ValueError("retrain_epochs must be >= 1 and "
+                             "retrain_learning_rate >= 0")
+        if not 0 <= self.weight_int_bits <= 64 - self.baseline_frac_bits:
+            raise ValueError("weight_int_bits + baseline_frac_bits must be "
+                             "at most 64, the widest format")
 
 
 @dataclass

@@ -1,10 +1,11 @@
 import json
 import os
+import zlib
 
 import numpy as np
 import pytest
 
-from approxdbn import cli
+from approxdbn import cli, ddbn
 
 from conftest import write_idx_pair
 
@@ -227,7 +228,6 @@ class TestSampleCounts:
                          "--samples", "0"]) == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize("section,key,value", [
-        ("eval", "samples", 0),
         ("search", "eval_samples", 0),
         ("search", "eval_mode", "sampled"),
     ])
@@ -236,3 +236,82 @@ class TestSampleCounts:
         config.setdefault(section, {})[key] = value
         write_config(cfg, config)
         assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_CONFIG
+
+
+def _set(*path, value):
+    """A config edit that sets the nested key ``path`` to ``value``."""
+    def edit(config):
+        section = config
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+        section[path[-1]] = value
+    return edit
+
+
+def _curve_test_split_without_files(config):
+    del config["test_images"], config["test_labels"]
+    config["curve"] = {"eval_split": "test"}
+
+
+@pytest.mark.parametrize("command,edit", [
+    pytest.param("train", _set("train_subset", value=-5), id="train_subset-train"),
+    pytest.param("curve", _set("train_subset", value=-5), id="train_subset-curve"),
+    pytest.param("train", _set("validation_fraction", value="0.1"),
+                 id="validation_fraction-str"),
+    pytest.param("train", _set("seed", value="x"), id="seed-str"),
+    pytest.param("train", _set("seed", value=-1), id="seed-negative"),
+    pytest.param("search", _set("search", "order_seed", value="a"), id="order_seed-str"),
+    pytest.param("curve", _set("curve", "random_seeds", value=["a"]),
+                 id="random_seeds-str"),
+    pytest.param("train", _set("hidden_sizes", value=[True]), id="hidden_sizes-bool"),
+    pytest.param("train", _set("train", "epochs", value=1.5), id="epochs-float"),
+    pytest.param("train", _set("train", "seed", value=-2), id="train_seed-negative"),
+    pytest.param("train", _set("train", "learning_rate", value=True),
+                 id="learning_rate-bool"),
+    pytest.param("search", _set("search", "eval_mode", value=1), id="eval_mode-int"),
+    pytest.param("search", _set("search", "weight_int_bits", value=70),
+                 id="weight_int_bits-70"),
+    pytest.param("search", _set("search", "criticality_samples", value=-5),
+                 id="criticality_samples-negative"),
+    pytest.param("train", lambda config: config.pop("train_images"),
+                 id="train_images-missing"),
+    pytest.param("curve", _curve_test_split_without_files,
+                 id="eval_split-test-without-files"),
+    pytest.param("curve", _set("curve", "orders", value=["critcality"]), id="orders-typo"),
+    pytest.param("curve", _set("curve", "eval_split", value="tset"), id="eval_split-typo"),
+    pytest.param("train", _set("train", value=5), id="train-not-object"),
+    pytest.param("train", _set("eval", "samples", value=10), id="eval-section"),
+])
+def test_bad_config_value(trained, capsys, command, edit):
+    tmp, cfg, config, model = trained
+    edit(config)
+    write_config(cfg, config)
+    argv = [command, "--config", str(cfg)]
+    if command in ("search", "curve"):
+        argv += ["--model", model]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def _write_bad_model(path, fault):
+    """A model file with a valid checksum that ``load_model`` must reject."""
+    m = ddbn.DdbnModel.random_init([784, 8, 6, 10], seed=0)
+    m = m.apply_precision(ddbn.PrecisionMap.uniform([8, 6], 4))
+    if fault == "budget":
+        m.precision.hidden_frac_bits[1][2] = 62  # Q8.62 is 70 bits
+    if fault == "nan":
+        m.weights[0][3, 1] = np.nan
+    ddbn.save_model(m, path)
+    if fault == "trailing":
+        blob = path.read_bytes()[:-4] + b"\0\0"
+        path.write_bytes(blob + zlib.crc32(blob).to_bytes(4, "little"))
+
+
+@pytest.mark.parametrize("fault", ["trailing", "budget", "nan"])
+def test_malformed_model_exits_3(workspace, capsys, fault):
+    tmp, cfg, config = workspace
+    model = tmp / "bad_model.bin"
+    _write_bad_model(model, fault)
+    assert cli.main(["eval", "--model", str(model), "--images", config["test_images"],
+                     "--labels", config["test_labels"]]) == cli.EXIT_DATA
+    assert "bad_model.bin" in capsys.readouterr().err

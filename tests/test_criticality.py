@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from approxdbn.criticality import (
     rank_neurons,
     top_layer_gradient,
 )
-from approxdbn.ddbn import DdbnModel, sigmoid, softmax
+from approxdbn.ddbn import DdbnModel, PrecisionMap, sigmoid, softmax
 
 
 def random_model(layer_sizes, seed, scale=1.0):
@@ -67,11 +69,25 @@ class TestForwardMeanField:
         _, probs = m.classify(X, mode="mean_field")
         np.testing.assert_array_equal(rec.class_probs, probs)
 
-    def test_activations_are_sigmoid_of_preactivations(self):
+    def test_ignores_attached_precision_map(self):
+        # Phase 2 ranks neurons of a quantized model by its full-precision
+        # mean-field pass over the stored (quantized) parameters
         m = random_model([6, 4, 3, 10], seed=3)
-        rec = forward_mean_field(m, np.ones((2, 6)))
-        for z, a in zip(rec.pre_activations, rec.activations):
-            np.testing.assert_array_equal(sigmoid(z), a)
+        q = m.apply_precision(PrecisionMap.uniform([4, 3], 2))
+        plain = replace(q, precision=None)
+        rng = np.random.default_rng(6)
+        X = (rng.random((9, 6)) > 0.5).astype(float)
+        T = np.eye(10)[rng.integers(0, 10, 9)]
+        rec, ref = forward_mean_field(q, X), forward_mean_field(plain, X)
+        for a, b in zip(rec.activations, ref.activations):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(rec.class_probs, ref.class_probs)
+        scores, ref_scores = criticality_scores(q, X, T), criticality_scores(plain, X, T)
+        for a, b in zip(scores.per_layer, ref_scores.per_layer):
+            np.testing.assert_array_equal(a, b)
+        quantized = q.forward_hidden(X)
+        assert all(not np.array_equal(a, b)
+                   for a, b in zip(rec.activations, quantized))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -83,14 +99,14 @@ class TestTopLayerGradient:
         m = random_model([4, 3, 5], seed=4)
         t = np.zeros((2, 5))
         t[:, 1] = 1.0
-        rec = ForwardRecord([], [], np.zeros((2, 5)), t.copy())
+        rec = ForwardRecord([], t.copy())
         np.testing.assert_array_equal(top_layer_gradient(rec, m, t), 0.0)
 
     def test_single_neuron_two_classes(self):
         # a^c = (0.5, 0.5), t = (1, 0), class weight row (1, -1)
         m = DdbnModel.random_init([3, 1, 2], seed=0, scale=0.0)
         m.class_weights = np.array([[1.0, -1.0]])
-        rec = ForwardRecord([], [], np.zeros((1, 2)), np.array([[0.5, 0.5]]))
+        rec = ForwardRecord([], np.array([[0.5, 0.5]]))
         g = top_layer_gradient(rec, m, np.array([[1.0, 0.0]]))
         np.testing.assert_allclose(g, [[-0.5]], atol=1e-15)
 
@@ -111,8 +127,7 @@ class TestTopLayerGradient:
 
     def test_depends_only_on_probs_target_and_weights(self):
         m = random_model([4, 3, 5], seed=6)
-        rec = ForwardRecord([], [], np.zeros((1, 5)),
-                            softmax(np.random.default_rng(1).normal(size=(1, 5))))
+        rec = ForwardRecord([], softmax(np.random.default_rng(1).normal(size=(1, 5))))
         t = np.eye(5)[[2]]
         g1 = top_layer_gradient(rec, m, t)
         m.class_bias = m.class_bias + 3.25  # not an input of the gradient

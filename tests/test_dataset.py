@@ -78,9 +78,21 @@ class TestLoadIdx:
     def test_grayscale_scaling(self, idx_pair):
         _, _, ip, lp = idx_pair
         data = ds.load_idx(ip, lp)
-        assert data.grayscale.min() >= 0.0 and data.grayscale.max() <= 1.0
         # pixel 128 crosses the 0.5 threshold, pixel 127 does not
         np.testing.assert_array_equal(data.images, (data.raw >= 128).astype(float))
+
+    def test_binarized_once(self, idx_pair, monkeypatch):
+        _, _, ip, lp = idx_pair
+        data = ds.load_idx(ip, lp)
+        calls = []
+        binarize = ds.binarize
+        monkeypatch.setattr(ds, "binarize", lambda p: calls.append(1) or binarize(p))
+        assert data.images is data.images
+        assert data.one_hot is data.one_hot
+        assert len(calls) == 1
+        # the cached arrays are shared, so no caller may change them
+        assert not data.images.flags.writeable
+        assert not data.one_hot.flags.writeable
 
 
 class TestBinarize:

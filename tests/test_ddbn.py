@@ -9,6 +9,7 @@ from approxdbn import ddbn
 from approxdbn.ddbn import (
     ChecksumError,
     DdbnModel,
+    ModelFileError,
     PrecisionMap,
     TrainConfig,
     VersionMismatch,
@@ -265,14 +266,14 @@ class TestQuantizedInference:
         X, T, _ = tiny_data
         m = train_ddbn(X, T, [12, 5, 4, 10],
                        TrainConfig(epochs=1, batch_size=10, seed=1))
-        a = m.forward_hidden(X)
-        assert np.all((a >= 0) & (a <= 1))
-        np.testing.assert_allclose(m.class_probs(a).sum(axis=1), 1.0, atol=1e-9)
+        acts = m.forward_hidden(X)
+        assert all(np.all((a >= 0) & (a <= 1)) for a in acts)
+        np.testing.assert_allclose(m.class_probs(acts[-1]).sum(axis=1), 1.0, atol=1e-9)
         for n in (8, 4, 2):
             q = m.apply_precision(PrecisionMap.uniform([5, 4], n))
-            aq = q.forward_hidden(X)
-            assert np.all((aq >= 0) & (aq <= 1))
-            sums = q.class_probs(aq).sum(axis=1)
+            acts = q.forward_hidden(X)
+            assert all(np.all((a >= 0) & (a <= 1)) for a in acts)
+            sums = q.class_probs(acts[-1]).sum(axis=1)
             assert np.all(np.abs(sums - 1.0) <= 10 * 2.0 ** -n)
 
     def test_requantization_is_noop(self, tiny_data):
@@ -350,3 +351,39 @@ class TestSerialization:
         with pytest.raises(VersionMismatch):
             load_model(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_model(self._model(), path)
+        blob = path.read_bytes()[:-4] + b"\0"
+        path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+        with pytest.raises(ModelFileError, match="1 unexpected bytes"):
+            load_model(path)
+
+    @pytest.mark.parametrize("offset,value,match", [
+        (6, b"\x02\x00", "2 layer sizes"),  # no hidden layer
+        (-1, b"x", "bad metadata"),          # the metadata's closing brace
+    ])
+    def test_malformed_header_or_metadata_rejected(self, tmp_path, offset, value,
+                                                   match):
+        path = tmp_path / "m.bin"
+        save_model(self._model(), path)
+        blob = bytearray(path.read_bytes()[:-4])
+        blob[offset:offset + len(value) or None] = value
+        path.write_bytes(bytes(blob) + struct.pack("<I", zlib.crc32(bytes(blob))))
+        with pytest.raises(ModelFileError, match=match):
+            load_model(path)
+
+    def test_budget_beyond_64_bits_rejected(self, tmp_path):
+        m = self._model()
+        m.precision.class_frac_bits = 57  # Q8.57 is 65 bits
+        save_model(m, tmp_path / "m.bin")
+        with pytest.raises(ModelFileError, match="bit budget 57"):
+            load_model(tmp_path / "m.bin")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, value):
+        m = self._model()
+        m.visible_biases[1][2] = value
+        save_model(m, tmp_path / "m.bin")
+        with pytest.raises(ModelFileError, match="not finite"):
+            load_model(tmp_path / "m.bin")

@@ -32,11 +32,6 @@ class TestFormat:
         with pytest.raises(ValueError):
             FixedPointFormat(True, 32, 33)
 
-    def test_notation_round_trip(self):
-        f = FixedPointFormat.from_notation("Q8.56", signed=True)
-        assert (f.int_bits, f.frac_bits, f.signed) == (8, 56, True)
-        assert f.notation == "Q8.56"
-
 
 class TestQuantize:
     def test_nearest_on_grid(self):
@@ -128,4 +123,4 @@ def test_exhaustive_oracle_small_formats():
     for fmt in small_formats():
         got = quantize_all(xs, fmt)
         want = brute_force_quantize(xs, fmt)
-        np.testing.assert_array_equal(got, want, err_msg=fmt.notation)
+        np.testing.assert_array_equal(got, want, err_msg=repr(fmt))

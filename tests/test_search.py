@@ -47,6 +47,11 @@ class TestSearchConfig:
             SearchConfig(eval_mode="sampled")
         with pytest.raises(ValueError):
             SearchConfig(baseline_frac_bits=-1)
+        for bad in ({"eval_seed": -1}, {"criticality_samples": -5},
+                    {"retrain_epochs": 0}, {"retrain_learning_rate": -0.1},
+                    {"weight_int_bits": 57}, {"weight_int_bits": -1}):
+            with pytest.raises(ValueError):
+                SearchConfig(**bad)
 
 
 class TestLevel2Schedule:
