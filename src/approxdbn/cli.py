@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Commands: train, search, curve, eval. Runs are driven by a JSON config
-file (strictly validated, unknown keys rejected); a few common flags
-override config values. Exit codes: 0 success, 2 config error, 3 data
+file (strictly validated, unknown keys rejected); ``--out`` overrides
+``out_dir``. Exit codes: 0 success, 2 config error, 3 data
 error, 4 infeasible accuracy constraint.
 """
 
@@ -83,6 +83,8 @@ class RunConfig:
         for key in ("test_images", "test_labels"):
             if raw.get(key) is not None:
                 _typed(raw[key], str, key)
+        if (self.test_images is None) != (self.test_labels is None):
+            raise ConfigError("test_images and test_labels must be set together")
         self.hidden_sizes = raw.get("hidden_sizes", [100, 50])
         if (not isinstance(self.hidden_sizes, list) or not self.hidden_sizes
                 or any(isinstance(n, bool) or not isinstance(n, int) or n < 1
@@ -106,8 +108,6 @@ class RunConfig:
         self.variant = search_raw.pop("variant", "full")
         if self.variant not in search.VARIANTS:
             raise ConfigError(f"unknown search variant {self.variant!r}")
-        self.order_seed = _seed(search_raw.pop("order_seed", self.seed),
-                                "search.order_seed")
         self.search_config = _dataclass_from(search_raw, SearchConfig, "search")
 
         curve_raw = raw.get("curve", {})
@@ -130,7 +130,7 @@ class RunConfig:
         return [ds.IMAGE_PIXELS] + list(self.hidden_sizes) + [ds.NUM_CLASSES]
 
 
-def load_config(path, overrides):
+def load_config(path, out_dir):
     try:
         with open(path) as f:
             raw = json.load(f)
@@ -140,13 +140,8 @@ def load_config(path, overrides):
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    if overrides.seed is not None:
-        raw["seed"] = overrides.seed
-        train = raw.setdefault("train", {})
-        if isinstance(train, dict):
-            train["seed"] = overrides.seed
-    if overrides.out is not None:
-        raw["out_dir"] = overrides.out
+    if out_dir is not None:
+        raw["out_dir"] = out_dir
     return RunConfig(raw)
 
 
@@ -203,18 +198,16 @@ def cmd_search(config, model_path):
     result = search.run_approxdbn(
         model, config.search_config, train.images, train.one_hot,
         val.images, val.labels, variant=config.variant,
-        train_config=config.train_config, order_seed=config.order_seed)
+        train_config=config.train_config, order_seed=config.seed)
     ddbn.save_model(result.model, os.path.join(out, "final_model.bin"))
     search.write_trace(result.trace, os.path.join(out, "trace.ndjson"))
     report = dict(result.report)
-    if config.test_images and config.test_labels:
+    if config.test_images is not None:
         test = ds.load_idx(config.test_images, config.test_labels)
         report["test_accuracy_mean_field"] = ddbn.evaluate_accuracy(
             result.model, test.images, test.labels, mode="mean_field")
         report["test_accuracy_stochastic"] = ddbn.evaluate_accuracy(
-            result.model, test.images, test.labels, mode="stochastic",
-            samples=config.search_config.eval_samples,
-            seed=config.search_config.eval_seed)
+            result.model, test.images, test.labels, mode="stochastic")
     report["seed"] = config.seed
     with open(os.path.join(out, "report.json"), "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
@@ -227,8 +220,7 @@ def cmd_search(config, model_path):
 
 
 def cmd_curve(config, model_path):
-    if config.curve_eval_split == "test" and not (config.test_images
-                                                  and config.test_labels):
+    if config.curve_eval_split == "test" and config.test_images is None:
         raise ConfigError("curve.eval_split 'test' needs test_images and test_labels")
     out = _prepare_out_dir(config)
     model = ddbn.load_model(model_path)
@@ -236,6 +228,9 @@ def cmd_curve(config, model_path):
     if config.curve_eval_split == "test":
         test = ds.load_idx(config.test_images, config.test_labels)
         eval_images, eval_labels = test.images, test.labels
+    elif len(val) == 0:
+        raise ConfigError("curve on the validation split needs a nonzero "
+                          "validation_fraction")
     else:
         eval_images, eval_labels = val.images, val.labels
     sc = config.search_config
@@ -289,7 +284,6 @@ def build_parser():
     for name in ("train", "search", "curve"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
         if name in ("search", "curve"):
             p.add_argument("--model", required=True)
@@ -311,7 +305,7 @@ def main(argv=None):
         if args.command == "eval":
             return cmd_eval(args.model, args.images, args.labels,
                             args.mode, args.samples, args.seed)
-        config = load_config(args.config, args)
+        config = load_config(args.config, args.out)
         if args.command == "train":
             return cmd_train(config)
         if args.command == "search":
@@ -319,6 +313,9 @@ def main(argv=None):
         return cmd_curve(config, args.model)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except FloatingPointError as e:
+        print(f"config error: {e}; lower train.learning_rate", file=sys.stderr)
         return EXIT_CONFIG
     except (ds.DatasetError, ModelFileError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)

@@ -94,6 +94,9 @@ def load_idx(images_path, labels_path) -> LabeledBinaryDataset:
                 f"{images_path}: magic 0x{magic:08x} at offset 0, "
                 f"expected 0x{IMAGE_MAGIC:08x}"
             )
+        if count < 1:
+            raise DatasetError(
+                f"{images_path}: header gives {count} images, expected at least 1")
         if rows * cols != IMAGE_PIXELS:
             raise DatasetError(
                 f"{images_path}: images are {rows}x{cols} pixels, "

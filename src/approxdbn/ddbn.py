@@ -21,6 +21,7 @@ from .fixedpoint import FixedPointFormat, quantize_all
 MODEL_MAGIC = b"ADBN"
 MODEL_VERSION = 1
 _CHUNK = 2048  # rows per mean-field propagation step in classify
+MOMENTUM = 0.5  # CD velocity decay
 
 
 class ModelFileError(Exception):
@@ -72,13 +73,11 @@ class PrecisionMap:
                                     # Q0.64 activations
 
     @classmethod
-    def uniform(cls, hidden_sizes, frac_bits, weight_int_bits=8,
-                activation_frac_bits=0):
+    def uniform(cls, hidden_sizes, frac_bits, activation_frac_bits=0):
         return cls(
             hidden_frac_bits=[np.full(n, frac_bits, dtype=np.int64) for n in hidden_sizes],
             class_frac_bits=frac_bits,
             global_frac_bits=frac_bits,
-            weight_int_bits=weight_int_bits,
             activation_frac_bits=activation_frac_bits,
         )
 
@@ -252,18 +251,16 @@ class DdbnModel:
 
 @dataclass
 class TrainConfig:
-    cd_steps: int = 1
     learning_rate: float = 0.05
     epochs: int = 15
     batch_size: int = 100
-    momentum: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.epochs < 1 or self.cd_steps < 1 or self.batch_size < 1:
-            raise ValueError("epochs, cd_steps and batch_size must be >= 1")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -317,7 +314,7 @@ def _set_rbm_params(model, layer, params):
 
 
 def _cd(model, layer, data, config, rng, targets=None):
-    """CD-k on the RBM under hidden layer ``layer``. With ``targets`` it is
+    """CD-1 on the RBM under hidden layer ``layer``. With ``targets`` it is
     the discriminative top RBM: a one-hot class block joins the visible
     layer and reconstructs through a softmax, sampling one class
     (Larochelle & Bengio, 2008). Under a precision map, gradients
@@ -341,28 +338,30 @@ def _cd(model, layer, data, config, rng, targets=None):
                 return sigmoid(z + hb)
 
             ph0 = up(x0, t0)
-            phk, xk, tk = ph0, x0, t0
-            for _ in range(config.cd_steps):
-                hk = (rng.random(phk.shape) < phk).astype(np.float64)
-                xk = sigmoid(hk @ w.T + vb)
-                if top:
-                    tk = _sample_one_hot(softmax(hk @ cls[0] + cls[1]), rng)
-                phk = up(xk, tk)
+            h0 = (rng.random(ph0.shape) < ph0).astype(np.float64)
+            x1 = sigmoid(h0 @ w.T + vb)
+            t1 = _sample_one_hot(softmax(h0 @ cls[0] + cls[1]), rng) if top else None
+            ph1 = up(x1, t1)
             b = len(x0)
             lr = config.learning_rate
-            grads = [lr * (x0.T @ ph0 - xk.T @ phk) / b,
-                     lr * (ph0 - phk).mean(axis=0),
-                     lr * (x0 - xk).mean(axis=0)]
+            grads = [lr * (x0.T @ ph0 - x1.T @ ph1) / b,
+                     lr * (ph0 - ph1).mean(axis=0),
+                     lr * (x0 - x1).mean(axis=0)]
             if top:
-                grads += [lr * (ph0.T @ t0 - phk.T @ tk) / b,
-                          lr * (t0 - tk).mean(axis=0)]
+                grads += [lr * (ph0.T @ t0 - ph1.T @ t1) / b,
+                          lr * (t0 - t1).mean(axis=0)]
             for i, g in enumerate(grads):
-                vel[i] = config.momentum * vel[i] + g
+                vel[i] = MOMENTUM * vel[i] + g
                 master[i] = master[i] + vel[i]
             _set_rbm_params(model, layer, master)
             _requantize_layer(model, layer)
             if top:
                 _requantize_class(model)
+    # the masters, not the model's parameters: quantizing clips inf
+    if not all(np.isfinite(p).all() for p in master):
+        raise FloatingPointError(
+            f"CD training of the RBM under hidden layer {layer} diverged: "
+            "a parameter is not finite")
 
 
 def _train_rbm(model, layer, data, config, rng):

@@ -23,39 +23,23 @@ class InfeasibleConstraint(Exception):
     """Even the starting uniform format violates the accuracy constraint."""
 
 
+RETRAIN_LEARNING_RATE = 0.1
+
+
 @dataclass
 class SearchConfig:
     max_relative_accuracy_loss: float = 0.10
     baseline_frac_bits: int = 8
-    phase1_step: int = 1
-    level3_step: int = 1
     retrain_epochs: int = 10
-    retrain_learning_rate: float = 0.1  # 0 = inherit the training rate
-    criticality_samples: int = 0        # 0 = use every training sample
-    eval_mode: str = "mean_field"
-    eval_samples: int = 10
-    eval_seed: int = 0
-    weight_int_bits: int = 8
 
     def __post_init__(self):
         if not 0 < self.max_relative_accuracy_loss < 1:
             raise ValueError("max_relative_accuracy_loss must be in (0, 1)")
-        if self.baseline_frac_bits < 0:
-            raise ValueError("baseline_frac_bits must be >= 0")
-        if self.phase1_step < 1 or self.level3_step < 1:
-            raise ValueError("reduction steps must be >= 1")
-        if self.eval_mode not in ("mean_field", "stochastic"):
-            raise ValueError(f"unknown eval_mode {self.eval_mode!r}")
-        if self.eval_samples < 1:
-            raise ValueError("eval_samples must be >= 1")
-        if self.eval_seed < 0 or self.criticality_samples < 0:
-            raise ValueError("eval_seed and criticality_samples must be >= 0")
-        if self.retrain_epochs < 1 or self.retrain_learning_rate < 0:
-            raise ValueError("retrain_epochs must be >= 1 and "
-                             "retrain_learning_rate >= 0")
-        if not 0 <= self.weight_int_bits <= 64 - self.baseline_frac_bits:
-            raise ValueError("weight_int_bits + baseline_frac_bits must be "
-                             "at most 64, the widest format")
+        if not 0 <= self.baseline_frac_bits <= 56:
+            raise ValueError("baseline_frac_bits must be in 0..56, so that "
+                             "Q8.n fits the widest format, 64 bits")
+        if self.retrain_epochs < 1:
+            raise ValueError("retrain_epochs must be >= 1")
 
 
 @dataclass
@@ -98,53 +82,37 @@ def bit_length_histogram(pmap):
     return sorted(counts.items())
 
 
-def _evaluator(images, labels, config):
-    """Accuracy of a model on (images, labels) under the search's
-    evaluation settings."""
-    return lambda model: evaluate_accuracy(
-        model, images, labels, mode=config.eval_mode,
-        samples=config.eval_samples, seed=config.eval_seed)
-
-
 def phase1_uniform(model, config, val_images, val_labels):
     """Uniform reduction from the baseline format. Returns the quantized
     model, its precision map, the trace, and the full-precision baseline
     accuracy on the constraint split."""
-    evaluate = _evaluator(val_images, val_labels, config)
-    baseline_acc = evaluate(model)
+    baseline_acc = evaluate_accuracy(model, val_images, val_labels)
     if baseline_acc == 0:
         raise InfeasibleConstraint(
             "the full-precision model classifies no validation sample "
             "correctly, so relative accuracy is undefined")
     threshold = (1.0 - config.max_relative_accuracy_loss) * baseline_acc
     trace = []
-    n = config.baseline_frac_bits
-    while n >= 0:
-        pmap_next = PrecisionMap.uniform(model.hidden_sizes, n,
-                                         config.weight_int_bits)
+    for n in range(config.baseline_frac_bits, -1, -1):
+        pmap_next = PrecisionMap.uniform(model.hidden_sizes, n)
         candidate = model.apply_precision(pmap_next)
-        acc = evaluate(candidate)
+        acc = evaluate_accuracy(candidate, val_images, val_labels)
         if acc < threshold:
             if not trace:
                 raise InfeasibleConstraint(
-                    f"baseline format Q{config.weight_int_bits}.{n} reaches "
+                    f"baseline format Q{pmap_next.weight_int_bits}.{n} reaches "
                     f"accuracy {acc:.4f}, below the constraint {threshold:.4f}")
             break
         pmap, current = pmap_next, candidate
         trace.append(TraceRecord("phase1", len(trace), "approximate",
                                  acc / baseline_acc, pmap.total_hidden_bits()))
-        n -= config.phase1_step
     return current, pmap, trace, baseline_acc
 
 
-def _neuron_order(model, pmap, config, use_criticality, train_images,
-                  train_one_hot, rng):
+def _neuron_order(model, pmap, use_criticality, train_images, train_one_hot,
+                  rng):
     if use_criticality:
-        images, targets = train_images, train_one_hot
-        if config.criticality_samples and config.criticality_samples < len(images):
-            images = images[:config.criticality_samples]
-            targets = targets[:config.criticality_samples]
-        scores = crit.criticality_scores(model, images, targets)
+        scores = crit.criticality_scores(model, train_images, train_one_hot)
         return crit.rank_neurons(scores)
     pooled = [(layer, idx)
               for layer, bits in enumerate(pmap.hidden_frac_bits)
@@ -152,15 +120,14 @@ def _neuron_order(model, pmap, config, use_criticality, train_images,
     return [pooled[i] for i in rng.permutation(len(pooled))]
 
 
-def _reduce_candidates(pmap, candidates, step):
-    """One sweep: decrement every candidate's budget, clamped at zero.
-    Returns None when nothing can decrease further."""
+def _reduce_candidates(pmap, candidates):
+    """One sweep: take one bit off every candidate's budget that is not
+    already zero. Returns None when nothing can decrease further."""
     new = pmap.copy()
     changed = False
     for layer, idx in candidates:
-        old = new.hidden_frac_bits[layer][idx]
-        if old > 0:
-            new.hidden_frac_bits[layer][idx] = max(0, old - step)
+        if new.hidden_frac_bits[layer][idx] > 0:
+            new.hidden_frac_bits[layer][idx] -= 1
             changed = True
     return new if changed else None
 
@@ -171,7 +138,6 @@ def phase2_greedy(model, pmap, config, train_images, train_one_hot,
                   train_config=None, order_seed=0):
     """Criticality-ordered per-neuron reduction with quantization-aware
     retraining; the class layer stays frozen at its Phase-1 format."""
-    evaluate = _evaluator(val_images, val_labels, config)
     threshold = (1.0 - config.max_relative_accuracy_loss) * baseline_acc
     if train_config is None:
         train_config = TrainConfig()
@@ -185,17 +151,17 @@ def phase2_greedy(model, pmap, config, train_images, train_one_hot,
     while True:
         iteration += 1
         bits_before = pmap.total_hidden_bits()
-        order = _neuron_order(current, pmap, config, use_criticality,
-                              train_images, train_one_hot, rng)
+        order = _neuron_order(current, pmap, use_criticality, train_images,
+                              train_one_hot, rng)
         for size in level2_sizes(total_neurons):
             candidates = order[:size]
             while True:
-                pmap_next = _reduce_candidates(pmap, candidates, config.level3_step)
+                pmap_next = _reduce_candidates(pmap, candidates)
                 if pmap_next is None:
                     break
                 pmap.check_monotone_update(pmap_next)
                 candidate_model = current.apply_precision(pmap_next)
-                acc = evaluate(candidate_model)
+                acc = evaluate_accuracy(candidate_model, val_images, val_labels)
                 if acc < threshold:
                     break
                 pmap, current = pmap_next, candidate_model
@@ -206,16 +172,15 @@ def phase2_greedy(model, pmap, config, train_images, train_one_hot,
         if changed and retrain:
             retrain_config = replace(
                 train_config, epochs=config.retrain_epochs,
-                learning_rate=(config.retrain_learning_rate
-                               or train_config.learning_rate),
+                learning_rate=RETRAIN_LEARNING_RATE,
                 seed=train_config.seed + iteration)
             retrained = retrain_quantized(current, pmap, train_images,
                                           train_one_hot, retrain_config)
-            acc = evaluate(retrained)
+            acc = evaluate_accuracy(retrained, val_images, val_labels)
             if acc >= threshold:
                 current = retrained
-            else:
-                acc = evaluate(current)  # keep pre-retrain parameters
+            else:  # keep pre-retrain parameters
+                acc = evaluate_accuracy(current, val_images, val_labels)
             trace.append(TraceRecord("phase2", iteration, "retrain",
                                      acc / baseline_acc,
                                      pmap.total_hidden_bits()))
@@ -254,7 +219,7 @@ def run_approxdbn(model, config, train_images, train_one_hot,
         retrain=variant in ("full", "no_criticality"),
         train_config=train_config, order_seed=order_seed)
     trace = trace + p2_trace
-    final_acc = _evaluator(val_images, val_labels, config)(current)
+    final_acc = evaluate_accuracy(current, val_images, val_labels)
     report = {
         "variant": variant,
         "baseline_accuracy": baseline_acc,
@@ -274,14 +239,17 @@ def approximation_curve(model, config, train_images, train_one_hot,
                         order_seed=0):
     """Accuracy after pruning the first c neurons (c = 0..N) of the given
     order, on a uniform baseline-format model."""
-    pmap = PrecisionMap.uniform(model.hidden_sizes, config.baseline_frac_bits,
-                                config.weight_int_bits)
+    pmap = PrecisionMap.uniform(model.hidden_sizes, config.baseline_frac_bits)
     rng = np.random.default_rng(order_seed)
-    ordering = _neuron_order(model, pmap, config, order == "criticality",
+    ordering = _neuron_order(model, pmap, order == "criticality",
                              train_images, train_one_hot, rng)
-    evaluate = _evaluator(eval_images, eval_labels, config)
-    accuracies = [evaluate(model.apply_precision(pmap))]
+
+    def accuracy():
+        return evaluate_accuracy(model.apply_precision(pmap), eval_images,
+                                 eval_labels)
+
+    accuracies = [accuracy()]
     for layer, idx in ordering:
         pmap.hidden_frac_bits[layer][idx] = 0
-        accuracies.append(evaluate(model.apply_precision(pmap)))
+        accuracies.append(accuracy())
     return np.array(accuracies)

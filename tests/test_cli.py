@@ -1,11 +1,16 @@
+import copy
+import dataclasses
 import json
 import os
+import re
 import zlib
 
 import numpy as np
 import pytest
 
 from approxdbn import cli, ddbn
+from approxdbn.ddbn import TrainConfig
+from approxdbn.search import SearchConfig
 
 from conftest import write_idx_pair
 
@@ -45,6 +50,16 @@ def write_config(path, config):
     path.write_text(json.dumps(config))
 
 
+REMOVED_KEYS = [
+    ("train", "cd_steps", 1), ("train", "momentum", 0.5),
+    ("search", "phase1_step", 1), ("search", "level3_step", 1),
+    ("search", "retrain_learning_rate", 0.1),
+    ("search", "criticality_samples", 0), ("search", "eval_mode", "mean_field"),
+    ("search", "eval_samples", 10), ("search", "eval_seed", 0),
+    ("search", "weight_int_bits", 8), ("search", "order_seed", 0),
+]
+
+
 class TestTrainCommand:
     def test_success(self, workspace):
         tmp, cfg, config = workspace
@@ -73,11 +88,31 @@ class TestTrainCommand:
         write_config(cfg, config)
         assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_CONFIG
 
-    def test_unknown_nested_key_rejected(self, workspace):
+    def test_unknown_nested_key_rejected(self, workspace, capsys):
+        # "nope" and every key the config once took at these values
         tmp, cfg, config = workspace
-        config["train"]["nope"] = 1
+        for section, key, value in [("train", "nope", 1)] + REMOVED_KEYS:
+            edited = copy.deepcopy(config)
+            edited[section][key] = value
+            write_config(cfg, edited)
+            assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_CONFIG, key
+            assert key in capsys.readouterr().err
+
+    def test_seed_flag_rejected(self, workspace):
+        tmp, cfg, _ = workspace
+        with pytest.raises(SystemExit) as e:
+            cli.main(["train", "--config", str(cfg), "--seed", "1"])
+        assert e.value.code == 2
+
+    def test_diverged_training_exits_2(self, workspace, capsys):
+        tmp, cfg, config = workspace
+        config["train"]["learning_rate"] = 1.7e308
         write_config(cfg, config)
-        assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        with pytest.warns(RuntimeWarning) as record:
+            assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert any("overflow" in str(w.message) for w in record)
+        assert "train.learning_rate" in capsys.readouterr().err
+        assert not (tmp / "out" / "model.bin").exists()
 
     def test_invalid_json(self, workspace):
         tmp, cfg, _ = workspace
@@ -190,18 +225,20 @@ class TestEvalCommand:
 
 
 def write_bad_data(tmp, fault):
-    """An IDX pair with labels outside 0..9 or images 100 pixels wide."""
+    """An IDX pair with labels outside 0..9, images 100 pixels wide, or
+    no images."""
     rng = np.random.default_rng(1)
-    labels = rng.integers(0, 10, 20, dtype=np.uint8)
+    count = 0 if fault == "empty" else 20
+    labels = rng.integers(0, 10, count, dtype=np.uint8)
     width = 100 if fault == "width" else 784
     if fault == "label":
         labels[7] = 10
-    images = rng.integers(0, 256, (20, width), dtype=np.uint8)
+    images = rng.integers(0, 256, (count, width), dtype=np.uint8)
     write_idx_pair(images, labels, tmp / "bad_imgs", tmp / "bad_lbls")
     return "bad_lbls" if fault == "label" else "bad_imgs"
 
 
-@pytest.mark.parametrize("fault", ["label", "width"])
+@pytest.mark.parametrize("fault", ["label", "width", "empty"])
 class TestBadData:
     def test_train(self, workspace, capsys, fault):
         tmp, cfg, config = workspace
@@ -226,16 +263,6 @@ class TestSampleCounts:
         assert cli.main(["eval", "--model", model, "--images", config["test_images"],
                          "--labels", config["test_labels"], "--mode", "stochastic",
                          "--samples", "0"]) == cli.EXIT_CONFIG
-
-    @pytest.mark.parametrize("section,key,value", [
-        ("search", "eval_samples", 0),
-        ("search", "eval_mode", "sampled"),
-    ])
-    def test_config_values(self, workspace, section, key, value):
-        tmp, cfg, config = workspace
-        config.setdefault(section, {})[key] = value
-        write_config(cfg, config)
-        assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_CONFIG
 
 
 def _set(*path, value):
@@ -268,15 +295,14 @@ def _curve_test_split_without_files(config):
     pytest.param("train", _set("train", "seed", value=-2), id="train_seed-negative"),
     pytest.param("train", _set("train", "learning_rate", value=True),
                  id="learning_rate-bool"),
-    pytest.param("search", _set("search", "eval_mode", value=1), id="eval_mode-int"),
-    pytest.param("search", _set("search", "weight_int_bits", value=70),
-                 id="weight_int_bits-70"),
-    pytest.param("search", _set("search", "criticality_samples", value=-5),
-                 id="criticality_samples-negative"),
     pytest.param("train", lambda config: config.pop("train_images"),
                  id="train_images-missing"),
     pytest.param("curve", _curve_test_split_without_files,
                  id="eval_split-test-without-files"),
+    pytest.param("curve", _set("validation_fraction", value=0),
+                 id="validation_fraction-0-curve"),
+    pytest.param("search", lambda config: config.pop("test_labels"),
+                 id="test_labels-missing"),
     pytest.param("curve", _set("curve", "orders", value=["critcality"]), id="orders-typo"),
     pytest.param("curve", _set("curve", "eval_split", value="tset"), id="eval_split-typo"),
     pytest.param("train", _set("train", value=5), id="train-not-object"),
@@ -315,3 +341,14 @@ def test_malformed_model_exits_3(workspace, capsys, fault):
     assert cli.main(["eval", "--model", str(model), "--images", config["test_images"],
                      "--labels", config["test_labels"]]) == cli.EXIT_DATA
     assert "bad_model.bin" in capsys.readouterr().err
+
+
+def test_readme_config_table_lists_every_accepted_key():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        documented = re.findall(r"^\| `([\w.]+)` \|", f.read(), re.MULTILINE)
+    accepted = (cli._TOP_LEVEL_KEYS
+                | {f"train.{f.name}" for f in dataclasses.fields(TrainConfig)}
+                | {f"search.{f.name}" for f in dataclasses.fields(SearchConfig)}
+                | {"search.variant"} | {f"curve.{k}" for k in cli._CURVE_KEYS})
+    assert len(documented) == len(set(documented))
+    assert set(documented) == accepted

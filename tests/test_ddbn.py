@@ -198,6 +198,14 @@ class TestTraining:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
+    def test_diverged_training_raises(self, tiny_data):
+        X, T, _ = tiny_data
+        cfg = TrainConfig(epochs=1, batch_size=10, learning_rate=1.7e308)
+        with pytest.warns(RuntimeWarning) as record, \
+                pytest.raises(FloatingPointError, match="not finite"):
+            train_ddbn(X, T, [12, 5, 4, 10], cfg)
+        assert any("overflow" in str(w.message) for w in record)
+
 
 class TestRetrainQuantized:
     def test_high_precision_map_matches_plain_training(self, tiny_data):
@@ -239,6 +247,18 @@ class TestRetrainQuantized:
         np.testing.assert_array_equal(out.class_weights, again.class_weights)
         # pruned neuron's incoming parameters pinned at zero
         np.testing.assert_array_equal(out.weights[0][:, 2], 0.0)
+
+    def test_diverged_retraining_raises(self, tiny_data):
+        # one update makes some masters infinite but none NaN; quantizing
+        # clips them to finite values, so only the masters show it
+        X, T, _ = tiny_data
+        base = train_ddbn(X, T, [12, 5, 4, 10],
+                          TrainConfig(epochs=1, batch_size=10, seed=5))
+        cfg = TrainConfig(epochs=1, batch_size=len(X), learning_rate=1.7e308)
+        with pytest.warns(RuntimeWarning) as record, \
+                pytest.raises(FloatingPointError, match="not finite"):
+            retrain_quantized(base, PrecisionMap.uniform([5, 4], 6), X, T, cfg)
+        assert any("overflow" in str(w.message) for w in record)
 
 
 class TestEvaluate:

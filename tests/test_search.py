@@ -39,19 +39,11 @@ class TestSearchConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(max_relative_accuracy_loss=0.0)
-        with pytest.raises(ValueError):
-            SearchConfig(phase1_step=0)
-        with pytest.raises(ValueError):
-            SearchConfig(eval_samples=0)
-        with pytest.raises(ValueError):
-            SearchConfig(eval_mode="sampled")
-        with pytest.raises(ValueError):
-            SearchConfig(baseline_frac_bits=-1)
-        for bad in ({"eval_seed": -1}, {"criticality_samples": -5},
-                    {"retrain_epochs": 0}, {"retrain_learning_rate": -0.1},
-                    {"weight_int_bits": 57}, {"weight_int_bits": -1}):
+        for bad in ({"baseline_frac_bits": -1}, {"baseline_frac_bits": 57},
+                    {"retrain_epochs": 0}):
             with pytest.raises(ValueError):
                 SearchConfig(**bad)
+        SearchConfig(baseline_frac_bits=56)
 
 
 class TestLevel2Schedule:
@@ -171,9 +163,8 @@ class TestAblations:
         pmap = PrecisionMap.uniform(model.hidden_sizes, 8)
         rng_a = np.random.default_rng(1)
         rng_b = np.random.default_rng(2)
-        cfg = SearchConfig()
-        order_a = search._neuron_order(model, pmap, cfg, False, X, T, rng_a)
-        order_b = search._neuron_order(model, pmap, cfg, False, X, T, rng_b)
+        order_a = search._neuron_order(model, pmap, False, X, T, rng_a)
+        order_b = search._neuron_order(model, pmap, False, X, T, rng_b)
         assert sorted(order_a) == sorted(order_b)
         assert order_a != order_b
 
