@@ -20,7 +20,7 @@ from .fixedpoint import FixedPointFormat, quantize_all
 
 MODEL_MAGIC = b"ADBN"
 MODEL_VERSION = 1
-_CHUNK = 2048  # rows per mean-field propagation step in classify
+_CHUNK = 2048  # rows per propagation step: classify (both modes), criticality
 MOMENTUM = 0.5  # CD velocity decay
 
 
@@ -205,9 +205,15 @@ class DdbnModel:
 
     def classify(self, v, mode="mean_field", samples=10, seed=0):
         """Predict classes. Returns (predicted classes, class probability
-        vectors); ties resolve to the lowest class index. Mean-field mode
-        propagates ``_CHUNK`` rows at a time; stochastic mode seeds sample
-        i's generator with (seed, i)."""
+        vectors); ties resolve to the lowest class index.
+
+        Both modes propagate at most ``_CHUNK`` rows per step: mean-field
+        mode ``_CHUNK`` images, stochastic mode ``_CHUNK // samples``
+        images (at least one) with ``samples`` sampled rows each. Image i's
+        samples still come from its own generator, seeded with (seed, i).
+        For a quantized model on binary inputs the result is byte-identical
+        to a run one image at a time; without a precision map it can
+        differ in the last bits, as mean-field chunking can."""
         v = np.asarray(v, dtype=np.float64)
         single = v.ndim == 1
         v = np.atleast_2d(v)
@@ -216,25 +222,31 @@ class DdbnModel:
         if mode == "stochastic" and samples < 1:
             raise ValueError("stochastic mode needs samples >= 1")
         probs = np.empty((len(v), self.layer_sizes[-1]))
-        if mode == "mean_field":
-            for start in range(0, len(v), _CHUNK):
-                probs[start:start + _CHUNK] = self.class_probs(
-                    self.forward_hidden(v[start:start + _CHUNK])[-1])
-        else:
-            for i, x in enumerate(v):
-                rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-                probs[i] = self._stochastic_probs(x, samples, rng)
+        step = _CHUNK if mode == "mean_field" else max(1, _CHUNK // samples)
+        for start in range(0, len(v), step):
+            rows = v[start:start + step]
+            if mode == "mean_field":
+                probs[start:start + step] = self.class_probs(self.forward_hidden(rows)[-1])
+            else:
+                rngs = [np.random.default_rng(np.random.SeedSequence([seed, i]))
+                        for i in range(start, start + len(rows))]
+                probs[start:start + step] = self._stochastic_probs(rows, samples, rngs)
         pred = np.argmax(probs, axis=1)
         if single:
             return int(pred[0]), probs[0]
         return pred, probs
 
-    def _stochastic_probs(self, x, samples, rng):
-        h = x[None, :]
+    def _stochastic_probs(self, rows, samples, rngs):
+        """Class probabilities of each row, averaged over ``samples``
+        binary hidden states that row j draws from ``rngs[j]``, one
+        ``(samples, n_l)`` draw per hidden layer."""
+        h = rows
         for layer in range(self.num_hidden_layers):
             a = self.hidden_probs(layer, h)
-            h = (rng.random((samples, a.shape[1])) < a).astype(np.float64)
-        return self.class_probs(h).mean(axis=0)
+            a = a.reshape(len(rngs), -1, a.shape[1])  # (images, 1 or samples, n_l)
+            u = np.stack([rng.random((samples, a.shape[2])) for rng in rngs])
+            h = (u < a).astype(np.float64).reshape(-1, a.shape[2])
+        return self.class_probs(h).reshape(len(rngs), samples, -1).mean(axis=1)
 
     # ---- precision -----------------------------------------------------
 
@@ -357,11 +369,12 @@ def _cd(model, layer, data, config, rng, targets=None):
             _requantize_layer(model, layer)
             if top:
                 _requantize_class(model)
-    # the masters, not the model's parameters: quantizing clips inf
-    if not all(np.isfinite(p).all() for p in master):
-        raise FloatingPointError(
-            f"CD training of the RBM under hidden layer {layer} diverged: "
-            "a parameter is not finite")
+        # after every epoch, so a diverged run stops at its first bad one;
+        # the masters, not the model's parameters: quantizing clips inf
+        if not all(np.isfinite(p).all() for p in master):
+            raise FloatingPointError(
+                f"CD training of the RBM under hidden layer {layer} diverged: "
+                "a parameter is not finite")
 
 
 def _train_rbm(model, layer, data, config, rng):

@@ -206,6 +206,19 @@ class TestTraining:
             train_ddbn(X, T, [12, 5, 4, 10], cfg)
         assert any("overflow" in str(w.message) for w in record)
 
+    def test_diverged_training_stops_after_first_bad_epoch(self, tiny_data, monkeypatch):
+        # 60 samples in batches of 10: 6 updates per epoch, 20 epochs
+        X, T, _ = tiny_data
+        calls = []
+        set_params = ddbn._set_rbm_params
+        monkeypatch.setattr(ddbn, "_set_rbm_params",
+                            lambda *a: (calls.append(1), set_params(*a)))
+        cfg = TrainConfig(epochs=20, batch_size=10, learning_rate=1.7e308)
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(FloatingPointError, match="not finite"):
+            train_ddbn(X, T, [12, 5, 4, 10], cfg)
+        assert 1 <= len(calls) <= 6
+
 
 class TestRetrainQuantized:
     def test_high_precision_map_matches_plain_training(self, tiny_data):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from approxdbn import ddbn
 from approxdbn.ddbn import (
     DdbnModel,
     PrecisionMap,
@@ -106,4 +107,62 @@ def test_inference_paths_agree_across_chunks(mode):
         for i in (2047, 2048, 2099):
             rng_i = np.random.default_rng(np.random.SeedSequence([7, i]))
             np.testing.assert_array_equal(
-                probs[i], model._stochastic_probs(X[i], 3, rng_i))
+                probs[i], model._stochastic_probs(X[i:i + 1], 3, [rng_i])[0])
+
+
+def _per_image_stochastic(model, X, samples, seed):
+    """Stochastic inference one image at a time, as it ran before it was
+    batched: image i draws from its own generator seeded with (seed, i)."""
+    probs = np.empty((len(X), model.layer_sizes[-1]))
+    for i, x in enumerate(X):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        h = x[None, :]
+        for layer in range(model.num_hidden_layers):
+            a = model.hidden_probs(layer, h)
+            h = (rng.random((samples, a.shape[1])) < a).astype(np.float64)
+        probs[i] = model.class_probs(h).mean(axis=0)
+    return probs
+
+
+def _three_layer_model(quantized):
+    model = DdbnModel.random_init([12, 7, 6, 5, 10], seed=4, scale=1.0)
+    return model.apply_precision(PrecisionMap.uniform([7, 6, 5], 5)) if quantized else model
+
+
+@pytest.mark.parametrize("samples,n,chunk", [
+    (1, 2100, None),    # 2048 + 52 images
+    (3, 700, None),     # 682 + 18
+    (10, 420, None),    # 204 + 204 + 12
+    (2049, 3, None),    # more samples than _CHUNK rows: one image per step
+    (3, 11, 7),         # 2 images per step, the last step 1
+    (10, 4, 7),         # samples > _CHUNK
+])
+def test_batched_stochastic_matches_per_image_oracle(samples, n, chunk, monkeypatch):
+    if chunk:
+        monkeypatch.setattr(ddbn, "_CHUNK", chunk)
+    model = _three_layer_model(quantized=True)
+    X = (np.random.default_rng(1).random((n, 12)) > 0.5).astype(float)
+    expected = _per_image_stochastic(model, X, samples, seed=5)
+    preds, probs = model.classify(X, "stochastic", samples=samples, seed=5)
+    assert probs.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(preds, np.argmax(expected, axis=1))
+
+
+def test_batched_stochastic_single_image():
+    model = _three_layer_model(quantized=True)
+    x = (np.random.default_rng(2).random(12) > 0.5).astype(float)
+    pred, probs = model.classify(x, "stochastic", samples=10, seed=3)
+    expected = _per_image_stochastic(model, x[None, :], 10, seed=3)[0]
+    assert probs.tobytes() == expected.tobytes()
+    assert pred == int(np.argmax(expected))
+
+
+def test_batched_stochastic_unquantized_matches_closely():
+    # without a precision map the batched products may sum in another
+    # order, so only the last bits may differ
+    model = _three_layer_model(quantized=False)
+    X = (np.random.default_rng(1).random((700, 12)) > 0.5).astype(float)
+    expected = _per_image_stochastic(model, X, 3, seed=5)
+    preds, probs = model.classify(X, "stochastic", samples=3, seed=5)
+    np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(preds, np.argmax(expected, axis=1))
