@@ -16,12 +16,7 @@ from .ddbn import (
     softmax,
     train_ddbn,
 )
-from .criticality import (
-    CriticalityScores,
-    criticality_scores,
-    forward_mean_field,
-    rank_neurons,
-)
+from .criticality import criticality_scores, rank_neurons
 from .search import (
     InfeasibleConstraint,
     SearchConfig,

@@ -7,7 +7,9 @@ error, 4 infeasible accuracy constraint.
 """
 
 import argparse
+import ctypes
 import dataclasses
+import glob
 import json
 import os
 import sys
@@ -157,6 +159,18 @@ def _prepare_out_dir(config):
     return out
 
 
+def _load_model(path):
+    """A model file whose widths fit the CLI's 784-pixel, 10-class data;
+    library callers may load other widths."""
+    model = ddbn.load_model(path)
+    if (model.layer_sizes[0] != ds.IMAGE_PIXELS
+            or model.layer_sizes[-1] != ds.NUM_CLASSES):
+        raise ModelFileError(
+            f"{path}: layer sizes {model.layer_sizes} do not map "
+            f"{ds.IMAGE_PIXELS} pixels to {ds.NUM_CLASSES} classes")
+    return model
+
+
 def _load_train_split(config):
     data = ds.load_idx(config.train_images, config.train_labels)
     if config.train_subset:
@@ -191,7 +205,7 @@ def cmd_train(config):
 
 def cmd_search(config, model_path):
     out = _prepare_out_dir(config)
-    model = ddbn.load_model(model_path)
+    model = _load_model(model_path)
     train, val = _load_train_split(config)
     if len(val) == 0:
         raise ConfigError("search needs a nonzero validation_fraction")
@@ -223,7 +237,7 @@ def cmd_curve(config, model_path):
     if config.curve_eval_split == "test" and config.test_images is None:
         raise ConfigError("curve.eval_split 'test' needs test_images and test_labels")
     out = _prepare_out_dir(config)
-    model = ddbn.load_model(model_path)
+    model = _load_model(model_path)
     train, val = _load_train_split(config)
     if config.curve_eval_split == "test":
         test = ds.load_idx(config.test_images, config.test_labels)
@@ -262,7 +276,7 @@ def cmd_eval(model_path, images_path, labels_path, mode, samples, seed):
         raise ConfigError("--samples must be >= 1")
     if seed < 0:
         raise ConfigError("--seed must be >= 0")
-    model = ddbn.load_model(model_path)
+    model = _load_model(model_path)
     data = ds.load_idx(images_path, labels_path)
     acc = ddbn.evaluate_accuracy(model, data.images, data.labels, mode=mode,
                                  samples=samples, seed=seed)
@@ -299,8 +313,24 @@ def build_parser():
     return parser
 
 
+def _pin_blas_to_one_thread():
+    """Run numpy's bundled OpenBLAS on one thread, so that float sums,
+    and with them every result, do not depend on the thread count."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "libscipy_openblas64_*.so"))
+    try:
+        set_threads = ctypes.CDLL(libs[0]).scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        print("warning: cannot pin numpy's BLAS to one thread; results may "
+              "depend on the BLAS thread count", file=sys.stderr)
+        return
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    _pin_blas_to_one_thread()
     try:
         if args.command == "eval":
             return cmd_eval(args.model, args.images, args.labels,

@@ -51,17 +51,6 @@ class FixedPointFormat:
             return 2.0 ** (self.int_bits - 1) - self.step
         return 2.0 ** self.int_bits - self.step
 
-    def representable_values(self) -> np.ndarray:
-        """Every representable value, ascending. Only sensible for small
-        formats (used by brute-force oracles)."""
-        if self.total_bits > 24:
-            raise ValueError("grid too large to enumerate")
-        if self.total_bits == 0:
-            return np.zeros(1)
-        lo = self.min_value
-        count = 2 ** self.total_bits
-        return lo + self.step * np.arange(count)
-
 
 def quantize(x: float, fmt: FixedPointFormat) -> float:
     """Scalar :func:`quantize_all`."""

@@ -50,11 +50,18 @@ def small_formats(max_total=6):
     return out
 
 
+def representable_values(fmt):
+    """Every value of a small format ``fmt``, ascending."""
+    if fmt.total_bits == 0:
+        return np.zeros(1)
+    return fmt.min_value + fmt.step * np.arange(2 ** fmt.total_bits)
+
+
 def brute_force_quantize(xs, fmt):
     """Independent oracle: nearest representable value by exhaustive grid
     search, ties resolved away from zero."""
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    grid = fmt.representable_values()
+    grid = representable_values(fmt)
     order = np.argsort(-np.abs(grid), kind="stable")
     grid = grid[order]  # descending |v|: first argmin wins ties away from 0
     idx = np.argmin(np.abs(grid[None, :] - xs[:, None]), axis=1)

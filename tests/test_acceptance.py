@@ -7,6 +7,7 @@ five-seed ablation comparison is marked slow and excluded from the default
 run; select it with ``-m slow``.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 
+import approxdbn
 from approxdbn.criticality import per_sample_gradients
 from approxdbn.dataset import load_idx, split
 from approxdbn.ddbn import (
@@ -197,44 +199,81 @@ def test_ablation_median_ordering(mnist):
 # ---- determinism across thread counts ---------------------------------
 
 
+ARTIFACTS = ("train/model.bin", "search/final_model.bin", "search/trace.ndjson")
+
+
 def _run_cli(args, threads, cwd):
     env = dict(os.environ)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(threads)
+    src = os.path.dirname(os.path.dirname(approxdbn.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "approxdbn", *args],
                           env=env, cwd=cwd, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc
 
 
-def test_thread_count_determinism(tmp_path):
-    paths = mnist_paths()
+def _differences_across_thread_counts(tmp_path, config):
+    """The ``ARTIFACTS`` whose bytes differ between ``train`` and
+    ``search`` through the CLI with 1 and with 4 BLAS threads."""
     outputs = {}
     for threads in (1, 4):
         out = tmp_path / f"threads_{threads}"
-        config = {
-            "train_images": paths["train_images"],
-            "train_labels": paths["train_labels"],
-            "test_images": paths["test_images"],
-            "test_labels": paths["test_labels"],
-            "hidden_sizes": LAYER_SIZES[1:-1],
-            "train_subset": SUBSET,
-            "validation_fraction": 0.1,
-            "seed": 0,
-            "out_dir": str(out / "train"),
-            "search": {"max_relative_accuracy_loss": 0.10},
-        }
         cfg_path = tmp_path / f"config_{threads}.json"
-        cfg_path.write_text(json.dumps(config))
+        cfg_path.write_text(json.dumps(dict(config, out_dir=str(out / "train"))))
         _run_cli(["train", "--config", str(cfg_path)], threads, tmp_path)
         _run_cli(["search", "--config", str(cfg_path),
                   "--model", str(out / "train" / "model.bin"),
                   "--out", str(out / "search")], threads, tmp_path)
-        outputs[threads] = (
-            (out / "train" / "model.bin").read_bytes(),
-            (out / "search" / "final_model.bin").read_bytes(),
-            (out / "search" / "trace.ndjson").read_bytes(),
-        )
-    same = outputs[1] == outputs[4]
-    report("thread-determinism", same,
-           "model files and traces bitwise identical for 1 and 4 threads")
+        outputs[threads] = [(out / rel).read_bytes() for rel in ARTIFACTS]
+    return [rel for rel, one, four in zip(ARTIFACTS, outputs[1], outputs[4])
+            if one != four]
+
+
+def _report_thread_determinism(name, differ):
+    report(name, not differ, "model files and traces bitwise identical for "
+           f"1 and 4 threads; differing: {differ}")
+
+
+def test_thread_count_determinism(tmp_path):
+    paths = mnist_paths()
+    config = {
+        "train_images": paths["train_images"],
+        "train_labels": paths["train_labels"],
+        "test_images": paths["test_images"],
+        "test_labels": paths["test_labels"],
+        "hidden_sizes": LAYER_SIZES[1:-1],
+        "train_subset": SUBSET,
+        "validation_fraction": 0.1,
+        "seed": 0,
+        "search": {"max_relative_accuracy_loss": 0.10},
+    }
+    _report_thread_determinism(
+        "thread-determinism", _differences_across_thread_counts(tmp_path, config))
+
+
+def _load_generator():
+    """The benchmark's MNIST-shaped digit generator, ``perfbench/gen.py``."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "gen.py")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def test_thread_count_determinism_generated(tmp_path):
+    gen = _load_generator()
+    images, labels = gen.generate(1000, 0, 0.12)
+    gen.write_idx(images, labels, tmp_path / "imgs", tmp_path / "lbls")
+    config = {
+        "train_images": str(tmp_path / "imgs"),
+        "train_labels": str(tmp_path / "lbls"),
+        "hidden_sizes": [50, 20],
+        "search": {"retrain_epochs": 1},
+    }
+    _report_thread_determinism(
+        "thread-determinism-generated",
+        _differences_across_thread_counts(tmp_path, config))

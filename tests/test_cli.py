@@ -320,8 +320,10 @@ def test_bad_config_value(trained, capsys, command, edit):
 
 
 def _write_bad_model(path, fault):
-    """A model file with a valid checksum that ``load_model`` must reject."""
-    m = ddbn.DdbnModel.random_init([784, 8, 6, 10], seed=0)
+    """A model file with a valid checksum that ``load_model`` must reject,
+    or (``input-width``, ``classes``) that the CLI's data cannot use."""
+    sizes = {"input-width": [100, 8, 6, 10], "classes": [784, 8, 6, 12]}
+    m = ddbn.DdbnModel.random_init(sizes.get(fault, [784, 8, 6, 10]), seed=0)
     m = m.apply_precision(ddbn.PrecisionMap.uniform([8, 6], 4))
     if fault == "budget":
         m.precision.hidden_frac_bits[1][2] = 62  # Q8.62 is 70 bits
@@ -333,7 +335,8 @@ def _write_bad_model(path, fault):
         path.write_bytes(blob + zlib.crc32(blob).to_bytes(4, "little"))
 
 
-@pytest.mark.parametrize("fault", ["trailing", "budget", "nan"])
+@pytest.mark.parametrize("fault", ["trailing", "budget", "nan", "input-width",
+                                   "classes"])
 def test_malformed_model_exits_3(workspace, capsys, fault):
     tmp, cfg, config = workspace
     model = tmp / "bad_model.bin"
@@ -341,6 +344,16 @@ def test_malformed_model_exits_3(workspace, capsys, fault):
     assert cli.main(["eval", "--model", str(model), "--images", config["test_images"],
                      "--labels", config["test_labels"]]) == cli.EXIT_DATA
     assert "bad_model.bin" in capsys.readouterr().err
+    assert cli.main(["search", "--config", str(cfg), "--model",
+                     str(model)]) == cli.EXIT_DATA
+    assert "bad_model.bin" in capsys.readouterr().err
+
+
+def test_blas_pin_warns_once_without_bundled_openblas(monkeypatch, capsys):
+    monkeypatch.setattr(cli.glob, "glob", lambda pattern: [])
+    cli._pin_blas_to_one_thread()
+    err = capsys.readouterr().err
+    assert err.startswith("warning: cannot pin") and err.count("\n") == 1
 
 
 def test_readme_config_table_lists_every_accepted_key():

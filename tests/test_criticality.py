@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from approxdbn.criticality import (
-    CriticalityScores,
-    ForwardRecord,
-    backprop_gradient,
     criticality_scores,
-    export_scores,
-    forward_mean_field,
     per_sample_gradients,
     rank_neurons,
-    top_layer_gradient,
 )
 from approxdbn.ddbn import DdbnModel, PrecisionMap, sigmoid, softmax
 
@@ -39,10 +33,10 @@ def loss_repropagated(model, layer, a_values, t):
 def finite_difference_gradients(model, x, t, step=1e-6):
     """Central finite differences of the loss w.r.t. every hidden
     activation; divided by 2 to match the dropped squared-norm factor."""
-    record = forward_mean_field(model, x[None, :])
+    activations = model.forward_hidden(x[None, :])
     grads = []
     for layer in range(model.num_hidden_layers):
-        a0 = record.activations[layer][0]
+        a0 = activations[layer][0]
         g = np.zeros_like(a0)
         for i in range(len(a0)):
             up, down = a0.copy(), a0.copy()
@@ -54,20 +48,29 @@ def finite_difference_gradients(model, x, t, step=1e-6):
     return grads
 
 
+def assert_all_zero(grads):
+    for g in grads:
+        np.testing.assert_array_equal(g, 0.0)
+
+
 class TestForwardMeanField:
+    """The pass the gradients are taken on: the model's full-precision
+    mean-field pass over its stored parameters."""
+
     def test_zero_model(self):
+        # activations 0.5 and class probabilities 0.1 meet zero weights
         m = DdbnModel.random_init([4, 3, 2, 10], seed=0, scale=0.0)
-        rec = forward_mean_field(m, np.ones((5, 4)))
-        for a in rec.activations:
-            np.testing.assert_array_equal(a, 0.5)
-        np.testing.assert_allclose(rec.class_probs, 0.1, atol=1e-15)
+        grads = per_sample_gradients(m, np.ones((5, 4)), np.eye(10)[:5])
+        assert [g.shape for g in grads] == [(5, 3), (5, 2)]
+        assert_all_zero(grads)
 
     def test_matches_mean_field_classify(self):
+        # any difference between the pass's probabilities and classify's
+        # would leave a nonzero (a^c - t) term
         m = random_model([6, 4, 3, 10], seed=2)
         X = (np.random.default_rng(0).random((8, 6)) > 0.5).astype(float)
-        rec = forward_mean_field(m, X)
         _, probs = m.classify(X, mode="mean_field")
-        np.testing.assert_array_equal(rec.class_probs, probs)
+        assert_all_zero(per_sample_gradients(m, X, probs))
 
     def test_ignores_attached_precision_map(self):
         # Phase 2 ranks neurons of a quantized model by its full-precision
@@ -78,41 +81,49 @@ class TestForwardMeanField:
         rng = np.random.default_rng(6)
         X = (rng.random((9, 6)) > 0.5).astype(float)
         T = np.eye(10)[rng.integers(0, 10, 9)]
-        rec, ref = forward_mean_field(q, X), forward_mean_field(plain, X)
-        for a, b in zip(rec.activations, ref.activations):
+        for a, b in zip(per_sample_gradients(q, X, T),
+                        per_sample_gradients(plain, X, T)):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(rec.class_probs, ref.class_probs)
-        scores, ref_scores = criticality_scores(q, X, T), criticality_scores(plain, X, T)
-        for a, b in zip(scores.per_layer, ref_scores.per_layer):
+        for a, b in zip(criticality_scores(q, X, T),
+                        criticality_scores(plain, X, T)):
             np.testing.assert_array_equal(a, b)
-        quantized = q.forward_hidden(X)
-        assert all(not np.array_equal(a, b)
-                   for a, b in zip(rec.activations, quantized))
+        _, plain_probs = plain.classify(X)
+        assert_all_zero(per_sample_gradients(q, X, plain_probs))
+        _, quantized_probs = q.classify(X)
+        assert all(np.any(g != 0)
+                   for g in per_sample_gradients(q, X, quantized_probs))
 
     def test_dimension_mismatch(self):
+        m = random_model([6, 4, 3, 10], seed=1)
         with pytest.raises(ValueError):
-            forward_mean_field(random_model([6, 4, 3, 10], seed=1), np.ones((2, 5)))
+            per_sample_gradients(m, np.ones((2, 5)), np.eye(10)[:2])
+        with pytest.raises(ValueError):
+            criticality_scores(m, np.ones((2, 5)), np.eye(10)[:2])
 
 
 class TestTopLayerGradient:
+    """(a^c - t) chained through the softmax Jacobian and class weights."""
+
     def test_zero_when_probs_equal_target(self):
+        # a class bias of 1000 saturates the softmax to an exact one-hot
         m = random_model([4, 3, 5], seed=4)
+        m.class_bias = np.array([0.0, 1000.0, 0.0, 0.0, 0.0])
         t = np.zeros((2, 5))
         t[:, 1] = 1.0
-        rec = ForwardRecord([], t.copy())
-        np.testing.assert_array_equal(top_layer_gradient(rec, m, t), 0.0)
+        assert_all_zero(per_sample_gradients(m, np.ones((2, 4)), t))
 
     def test_single_neuron_two_classes(self):
-        # a^c = (0.5, 0.5), t = (1, 0), class weight row (1, -1)
+        # a^c = (0.5, 0.5), t = (1, 0), class weight row (1, -1): the
+        # hidden activation is sigmoid(0) = 0.5 and the logits are both 0
         m = DdbnModel.random_init([3, 1, 2], seed=0, scale=0.0)
         m.class_weights = np.array([[1.0, -1.0]])
-        rec = ForwardRecord([], np.array([[0.5, 0.5]]))
-        g = top_layer_gradient(rec, m, np.array([[1.0, 0.0]]))
-        np.testing.assert_allclose(g, [[-0.5]], atol=1e-15)
+        m.class_bias = np.array([-0.5, 0.5])
+        g = per_sample_gradients(m, np.zeros((1, 3)), np.array([[1.0, 0.0]]))
+        np.testing.assert_array_equal(g[0], [[-0.5]])
 
     def test_single_neuron_matches_finite_differences(self):
-        # same setup realized as an actual model: pick the class bias so
-        # the logits coincide at the stored activation
+        # same setup at another activation: pick the class bias so the
+        # logits coincide at the stored activation
         m = DdbnModel.random_init([3, 1, 2], seed=0, scale=0.0)
         m.class_weights = np.array([[1.0, -1.0]])
         h = 0.3
@@ -126,37 +137,45 @@ class TestTopLayerGradient:
         np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-9)
 
     def test_depends_only_on_probs_target_and_weights(self):
-        m = random_model([4, 3, 5], seed=6)
-        rec = ForwardRecord([], softmax(np.random.default_rng(1).normal(size=(1, 5))))
-        t = np.eye(5)[[2]]
-        g1 = top_layer_gradient(rec, m, t)
-        m.class_bias = m.class_bias + 3.25  # not an input of the gradient
-        g2 = top_layer_gradient(rec, m, t)
+        # activations are exactly 0.5 and the class weights dyadic, so a
+        # uniform class-bias shift leaves the probabilities bit-identical
+        m = DdbnModel.random_init([4, 3, 5], seed=6, scale=0.0)
+        rng = np.random.default_rng(1)
+        m.class_weights = rng.integers(-8, 9, size=(3, 5)) / 4.0
+        m.class_bias = rng.integers(-8, 9, size=5) / 4.0
+        shifted = replace(m, class_bias=m.class_bias + 3.25)
+        X, t = np.ones((1, 4)), np.eye(5)[[2]]
+        np.testing.assert_array_equal(m.classify(X)[1], shifted.classify(X)[1])
+        g1, = per_sample_gradients(m, X, t)
+        g2, = per_sample_gradients(shifted, X, t)
+        assert np.any(g1 != 0)
         np.testing.assert_array_equal(g1, g2)
 
 
 class TestBackpropGradient:
+    """A gradient pulled down a layer through the sigmoid derivative and
+    the connecting weights."""
+
     def test_saturated_activations_kill_gradient(self):
+        # biases of 40 and 50 round both top activations to exactly 1.0
         m = random_model([4, 3, 2, 10], seed=7)
-        rec = forward_mean_field(m, np.ones((1, 4)))
-        rec.activations[1] = np.array([[0.0, 1.0]])
-        g = backprop_gradient(rec, m, 0, np.ones((1, 2)))
-        np.testing.assert_array_equal(g, 0.0)
+        m.hidden_biases[1] = np.array([40.0, 50.0])
+        grads = per_sample_gradients(m, np.ones((1, 4)), np.eye(10)[[0]])
+        np.testing.assert_array_equal(m.forward_hidden(np.ones((1, 4)))[1], 1.0)
+        assert np.any(grads[1] != 0)
+        np.testing.assert_array_equal(grads[0], 0.0)
 
     def test_single_path(self):
-        m = DdbnModel.random_init([1, 1, 1, 10], seed=0, scale=0.0)
+        # a^(1) = sigmoid(0.5 * 2 - 1) = 0.5 carries the top gradient -0.5
+        # (see test_single_neuron_two_classes) down as -0.5 * 0.25 * 2
+        m = DdbnModel.random_init([1, 1, 1, 2], seed=0, scale=0.0)
         m.weights[1] = np.array([[2.0]])
-        m.hidden_biases[1] = np.array([-1.0])  # cancels 0.5 * 2 upstream
-        rec = forward_mean_field(m, np.zeros((1, 1)))
-        assert rec.activations[1][0, 0] == 0.5
-        g = backprop_gradient(rec, m, 0, np.ones((1, 1)))
-        np.testing.assert_allclose(g, [[0.5]], atol=1e-15)
-
-    def test_shape_mismatch(self):
-        m = random_model([4, 3, 2, 10], seed=8)
-        rec = forward_mean_field(m, np.ones((1, 4)))
-        with pytest.raises(ValueError):
-            backprop_gradient(rec, m, 0, np.ones((1, 3)))
+        m.hidden_biases[1] = np.array([-1.0])
+        m.class_weights = np.array([[1.0, -1.0]])
+        m.class_bias = np.array([-0.5, 0.5])
+        g = per_sample_gradients(m, np.zeros((1, 1)), np.array([[1.0, 0.0]]))
+        np.testing.assert_array_equal(g[1], [[-0.5]])
+        np.testing.assert_array_equal(g[0], [[-0.25]])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_full_chain_matches_finite_differences(self, seed):
@@ -178,9 +197,8 @@ class TestScores:
         t = np.eye(10)[3]
         one = criticality_scores(m, x[None, :], t[None, :])
         three = criticality_scores(m, np.tile(x, (3, 1)), np.tile(t, (3, 1)))
-        for a, b in zip(one.per_layer, three.per_layer):
+        for a, b in zip(one, three):
             np.testing.assert_allclose(a, b, atol=1e-15)
-        assert three.sample_count == 3
 
     def test_average_before_magnitude(self):
         m = random_model([6, 4, 3, 10], seed=10)
@@ -189,7 +207,7 @@ class TestScores:
         T = np.eye(10)[[1, 7]]
         grads = per_sample_gradients(m, X, T)
         scores = criticality_scores(m, X, T)
-        for g, s in zip(grads, scores.per_layer):
+        for g, s in zip(grads, scores):
             np.testing.assert_allclose(np.abs(g.mean(axis=0)), s, atol=1e-15)
 
     def test_deterministic(self):
@@ -199,7 +217,7 @@ class TestScores:
         T = np.eye(10)[rng.integers(0, 10, 30)]
         s1 = criticality_scores(m, X, T)
         s2 = criticality_scores(m, X, T)
-        for a, b in zip(s1.per_layer, s2.per_layer):
+        for a, b in zip(s1, s2):
             np.testing.assert_array_equal(a, b)
 
     def test_nonnegative_and_finite(self):
@@ -207,7 +225,7 @@ class TestScores:
         X = np.eye(6)
         T = np.eye(10)[np.arange(6)]
         s = criticality_scores(m, X, T)
-        for layer in s.per_layer:
+        for layer in s:
             assert np.all(layer >= 0) and np.all(np.isfinite(layer))
 
     def test_rejects_empty(self):
@@ -218,30 +236,16 @@ class TestScores:
 
 class TestRanking:
     def test_ascending_order(self):
-        s = CriticalityScores([np.array([0.3, 0.1, 0.2])], 1)
-        assert rank_neurons(s) == [(0, 1), (0, 2), (0, 0)]
+        assert rank_neurons([np.array([0.3, 0.1, 0.2])]) == [(0, 1), (0, 2), (0, 0)]
 
     def test_tie_break_lexicographic(self):
-        s = CriticalityScores([np.array([0.5, 0.5]), np.array([0.5])], 1)
-        assert rank_neurons(s) == [(0, 0), (0, 1), (1, 0)]
+        ranked = rank_neurons([np.array([0.5, 0.5]), np.array([0.5])])
+        assert ranked == [(0, 0), (0, 1), (1, 0)]
 
     def test_scale_invariant(self):
         rng = np.random.default_rng(5)
         layers = [rng.random(6), rng.random(4)]
-        s1 = CriticalityScores(layers, 1)
-        s2 = CriticalityScores([7.0 * l for l in layers], 1)
-        assert rank_neurons(s1) == rank_neurons(s2)
+        assert rank_neurons(layers) == rank_neurons([7.0 * l for l in layers])
 
     def test_pools_layers(self):
-        s = CriticalityScores([np.array([0.9]), np.array([0.1])], 1)
-        assert rank_neurons(s) == [(1, 0), (0, 0)]
-
-
-def test_export_scores(tmp_path):
-    s = CriticalityScores([np.array([0.3, 0.1])], 4)
-    path = tmp_path / "scores.tsv"
-    export_scores(s, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split("\t") == ["layer", "neuron", "score", "rank"]
-    assert lines[1].split("\t") == ["0", "0", "0.3", "1"]
-    assert lines[2].split("\t") == ["0", "1", "0.1", "0"]
+        assert rank_neurons([np.array([0.9]), np.array([0.1])]) == [(1, 0), (0, 0)]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from approxdbn.fixedpoint import FixedPointFormat, quantize, quantize_all
 
-from conftest import brute_force_quantize, small_formats
+from conftest import brute_force_quantize, representable_values, small_formats
 
 Q8_8 = FixedPointFormat(True, 8, 8)
 
@@ -24,7 +24,7 @@ class TestFormat:
     def test_zero_bit_format_represents_only_zero(self):
         f = FixedPointFormat(False, 0, 0)
         assert f.min_value == f.max_value == 0.0
-        assert list(f.representable_values()) == [0.0]
+        assert list(representable_values(f)) == [0.0]
 
     def test_rejects_bad_bit_counts(self):
         with pytest.raises(ValueError):
