@@ -1,5 +1,7 @@
 """MNIST IDX loading, binarization, one-hot labels, and dataset splits."""
 
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -74,7 +76,9 @@ class LabeledBinaryDataset:
 
 
 def _read_exact(f, nbytes, path, what):
-    data = f.read(nbytes)
+    # a regular file's size caps the read: a huge header count allocates nothing
+    st = os.fstat(f.fileno())
+    data = f.read(min(nbytes, st.st_size - f.tell()) if stat.S_ISREG(st.st_mode) else nbytes)
     if len(data) != nbytes:
         raise TruncatedFile(
             f"{path}: expected {nbytes} bytes for {what} at offset "
@@ -116,6 +120,8 @@ def load_idx(images_path, labels_path) -> LabeledBinaryDataset:
                 f"{labels_path}: magic 0x{magic:08x} at offset 0, "
                 f"expected 0x{LABEL_MAGIC:08x}"
             )
+        if label_count < 0:
+            raise DatasetError(f"{labels_path}: header gives {label_count} labels")
         labels = np.frombuffer(
             _read_exact(f, label_count, labels_path, "label data"),
             dtype=np.uint8,

@@ -10,6 +10,7 @@ probabilities deterministically.
 """
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field, replace
@@ -20,7 +21,7 @@ from .fixedpoint import FixedPointFormat, quantize_all
 
 MODEL_MAGIC = b"ADBN"
 MODEL_VERSION = 1
-_CHUNK = 2048  # rows per propagation step: classify (both modes), criticality
+_CHUNK = 2048  # rows per propagation step: classify, CandidateEvaluator, criticality
 MOMENTUM = 0.5  # CD velocity decay
 
 
@@ -171,16 +172,16 @@ class DdbnModel:
 
     # ---- inference -----------------------------------------------------
 
-    def hidden_probs(self, layer, v):
-        """Activation probabilities of hidden layer ``layer`` (0-based)
-        given the previous layer's values; applies the attached precision
-        map to pre-activations and activations."""
+    def hidden_probs(self, layer, v, cols=slice(None)):
+        """Activation probabilities of hidden layer ``layer``'s neurons
+        ``cols`` (default all) given the previous layer's values; applies
+        the attached precision map to pre-activations and activations."""
         v = as_inputs(v, self.layer_sizes[layer], f"layer {layer}")
-        z = v @ self.weights[layer] + self.hidden_biases[layer]
+        z = v @ self.weights[layer][:, cols] + self.hidden_biases[layer][cols]
         pmap = self.precision
         if pmap is None:
             return sigmoid(z)
-        bits = pmap.hidden_frac_bits[layer]
+        bits = pmap.hidden_frac_bits[layer][cols]
         z = _quantize_columns(z, bits, pmap.weight_format)
         return _quantize_columns(sigmoid(z), bits, pmap.activation_format)
 
@@ -432,6 +433,58 @@ def confusion_counts(model, images, labels, mode="mean_field",
     counts = np.zeros((10, 10), dtype=np.int64)
     np.add.at(counts, (np.asarray(labels), preds), 1)
     return counts
+
+
+class CandidateEvaluator:
+    """Mean-field accuracy of candidates that differ from the accepted ``model``
+    in a few neuron budgets: keeps the layer-0 activations ``a0`` and class
+    probabilities ``probs``, and recomputes only the layer-0 columns a candidate
+    changes, as exact float64 sums (``_exact``); else calls ``evaluate_accuracy``."""
+
+    def __init__(self, model, images, labels):
+        self.images = np.asarray(images, dtype=np.float64)
+        self.labels = np.asarray(labels)
+        self.binary = bool(np.isin(self.images, (0.0, 1.0)).all())
+        self.model, self.a0, self.probs = model, None, None
+        if self._exact(model):
+            self.a0 = self._layer0(model, slice(None))
+            self.probs = self._class_probs(model, self.a0)
+
+    def _exact(self, model):
+        pmap = model.precision
+        return (self.binary and pmap is not None
+                and pmap.weight_int_bits + int(pmap.hidden_frac_bits[0].max())
+                + math.ceil(math.log2(model.layer_sizes[0])) <= 53)
+
+    def _layer0(self, model, cols):
+        # exact sums: short row steps change no value and keep temporaries small
+        return np.concatenate([model.hidden_probs(0, self.images[s:s + _CHUNK // 8], cols)
+                               for s in range(0, len(self.images), _CHUNK // 8)])
+
+    def _class_probs(self, model, a0):
+        probs = np.empty((len(a0), model.layer_sizes[-1]))
+        for start in range(0, len(a0), _CHUNK):  # classify's chunks
+            h = a0[start:start + _CHUNK]
+            for layer in range(1, model.num_hidden_layers):
+                h = model.hidden_probs(layer, h)
+            probs[start:start + _CHUNK] = model.class_probs(h)
+        return probs
+
+    def accuracy(self, candidate):
+        """Accuracy of ``candidate``, which ``accept`` then commits."""
+        self._pending = (candidate, None, None)  # frees a rejected one's arrays
+        if self.a0 is None or not self._exact(candidate):
+            return evaluate_accuracy(candidate, self.images, self.labels)
+        changed = np.flatnonzero(candidate.precision.hidden_frac_bits[0]
+                                 != self.model.precision.hidden_frac_bits[0])
+        a0 = self.a0.copy()
+        a0[:, changed] = self._layer0(candidate, changed)
+        probs = self._class_probs(candidate, a0)
+        self._pending = (candidate, a0, probs)
+        return int((np.argmax(probs, axis=1) == self.labels).sum()) / len(a0)
+
+    def accept(self):
+        self.model, self.a0, self.probs = self._pending
 
 
 # ---- serialization -----------------------------------------------------

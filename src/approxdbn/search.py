@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import criticality as crit
-from .ddbn import PrecisionMap, TrainConfig, evaluate_accuracy, retrain_quantized
+from .ddbn import (CandidateEvaluator, PrecisionMap, TrainConfig,
+                   evaluate_accuracy, retrain_quantized)
 
 
 class InfeasibleConstraint(Exception):
@@ -146,6 +147,7 @@ def phase2_greedy(model, pmap, config, train_images, train_one_hot,
     pmap = pmap.copy()
     total_neurons = pmap.num_hidden_neurons()
     trace = []
+    evaluator = CandidateEvaluator(current, val_images, val_labels)
 
     iteration = 0
     while True:
@@ -160,11 +162,11 @@ def phase2_greedy(model, pmap, config, train_images, train_one_hot,
                 if pmap_next is None:
                     break
                 pmap.check_monotone_update(pmap_next)
-                candidate_model = current.apply_precision(pmap_next)
-                acc = evaluate_accuracy(candidate_model, val_images, val_labels)
+                acc = evaluator.accuracy(current.apply_precision(pmap_next))
                 if acc < threshold:
                     break
-                pmap, current = pmap_next, candidate_model
+                evaluator.accept()
+                pmap, current = pmap_next, evaluator.model
                 trace.append(TraceRecord("phase2", iteration, "approximate",
                                          acc / baseline_acc,
                                          pmap.total_hidden_bits()))
@@ -179,6 +181,7 @@ def phase2_greedy(model, pmap, config, train_images, train_one_hot,
             acc = evaluate_accuracy(retrained, val_images, val_labels)
             if acc >= threshold:
                 current = retrained
+                evaluator = CandidateEvaluator(current, val_images, val_labels)
             else:  # keep pre-retrain parameters
                 acc = evaluate_accuracy(current, val_images, val_labels)
             trace.append(TraceRecord("phase2", iteration, "retrain",
@@ -243,13 +246,11 @@ def approximation_curve(model, config, train_images, train_one_hot,
     rng = np.random.default_rng(order_seed)
     ordering = _neuron_order(model, pmap, order == "criticality",
                              train_images, train_one_hot, rng)
-
-    def accuracy():
-        return evaluate_accuracy(model.apply_precision(pmap), eval_images,
-                                 eval_labels)
-
-    accuracies = [accuracy()]
+    current = model.apply_precision(pmap)
+    accuracies = [evaluate_accuracy(current, eval_images, eval_labels)]
+    evaluator = CandidateEvaluator(current, eval_images, eval_labels)
     for layer, idx in ordering:
         pmap.hidden_frac_bits[layer][idx] = 0
-        accuracies.append(accuracy())
+        accuracies.append(evaluator.accuracy(model.apply_precision(pmap)))
+        evaluator.accept()
     return np.array(accuracies)

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import approxdbn
+from approxdbn import cli
 from approxdbn.criticality import per_sample_gradients
 from approxdbn.dataset import load_idx, split
 from approxdbn.ddbn import (
@@ -24,6 +25,7 @@ from approxdbn.ddbn import (
     PrecisionMap,
     TrainConfig,
     evaluate_accuracy,
+    load_model,
     train_ddbn,
 )
 from approxdbn.fixedpoint import quantize_all
@@ -36,6 +38,7 @@ from approxdbn.search import (
 from conftest import brute_force_quantize, mnist_paths, small_formats
 from test_criticality import finite_difference_gradients, random_model
 from test_ddbn import exact_stochastic_expectation
+from test_invariants import _parameters
 
 LAYER_SIZES = [784, 100, 50, 10]
 SUBSET = 10_000
@@ -172,6 +175,56 @@ def test_search_constraint_and_budget(searched):
     report("greedy-search", ok,
            f"monotone={monotone}, relative accuracy {rel:.4f} >= 0.90, "
            f"mean frac bits {mean_bits:.2f} <= 4.0")
+
+
+def test_search_constraint_and_budget_generated(tmp_path):
+    """``train`` and ``search`` through the CLI on the benchmark's
+    generated digits: every committed step meets the constraint, budgets
+    only fall and end below the Phase-1 start, pruned neurons are exactly
+    0, and the final model is a fixpoint of its precision map."""
+    gen = _load_generator()
+    images, labels = gen.generate(1000, 0, 0.08)
+    gen.write_idx(images, labels, tmp_path / "imgs", tmp_path / "lbls")
+    loss, hidden = 0.10, [50, 20]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "train_images": str(tmp_path / "imgs"),
+        "train_labels": str(tmp_path / "lbls"),
+        "hidden_sizes": hidden,
+        "out_dir": str(tmp_path / "train"),
+        # trains to about 0.77 validation accuracy, so the constraint binds
+        "train": {"epochs": 30, "learning_rate": 0.1},
+        "search": {"max_relative_accuracy_loss": loss, "retrain_epochs": 1},
+    }))
+    assert cli.main(["train", "--config", str(cfg)]) == 0
+    assert cli.main(["search", "--config", str(cfg),
+                     "--model", str(tmp_path / "train" / "model.bin"),
+                     "--out", str(tmp_path / "search")]) == 0
+    with open(tmp_path / "search" / "trace.ndjson") as f:
+        trace = [json.loads(line) for line in f]
+    worst = min(r["relative_accuracy"] for r in trace)
+    totals = [r["total_bits"] for r in trace]
+    start = sum(hidden) * SearchConfig().baseline_frac_bits
+    model = load_model(tmp_path / "search" / "final_model.bin")
+    pmap = model.precision
+    a, pruned_nonzero = images[:200] / 255.0 > 0.5, 0
+    for layer, bits in enumerate(pmap.hidden_frac_bits):
+        a = model.hidden_probs(layer, a)
+        pruned_nonzero += int(np.count_nonzero(a[:, bits == 0])
+                              + np.count_nonzero(model.weights[layer][:, bits == 0])
+                              + np.count_nonzero(model.hidden_biases[layer][bits == 0]))
+    again = model.apply_precision(pmap)
+    fixpoint = all(np.array_equal(p, q) for p, q in zip(_parameters(model),
+                                                         _parameters(again)))
+    pruned = sum(int((bits == 0).sum()) for bits in pmap.hidden_frac_bits)
+    ok = (worst >= 1 - loss - 1e-12 and totals == sorted(totals, reverse=True)
+          and totals[-1] < start and pruned > 0 and pruned_nonzero == 0
+          and fixpoint)
+    report("greedy-search-generated", ok,
+           f"worst relative accuracy {worst:.4f} >= {1 - loss}, "
+           f"monotone={totals == sorted(totals, reverse=True)}, total bits "
+           f"{totals[-1]} < {start}, {pruned_nonzero} nonzero values of "
+           f"{pruned} pruned neurons, fixpoint={fixpoint}")
 
 
 @pytest.mark.slow

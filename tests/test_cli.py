@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import struct
 import zlib
 
 import numpy as np
@@ -255,6 +256,17 @@ class TestBadData:
         assert cli.main(["eval", "--model", model, "--images", str(tmp / "bad_imgs"),
                          "--labels", str(tmp / "bad_lbls")]) == cli.EXIT_DATA
         assert culprit in capsys.readouterr().err
+
+
+def test_negative_label_count_exits_3(workspace, capsys):
+    tmp, cfg, _ = workspace
+    labels = tmp / "lbls"
+    data = bytearray(labels.read_bytes())
+    data[4:8] = struct.pack(">i", -5)
+    labels.write_bytes(bytes(data))
+    assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "lbls" in err and "-5 labels" in err
 
 
 class TestSampleCounts:

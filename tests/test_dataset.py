@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,20 @@ class TestLoadIdx:
         with pytest.raises(ds.TruncatedFile) as e:
             ds.load_idx(str(cut), lp)
         assert "offset" in str(e.value)
+
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    def test_huge_header_count_is_truncated(self, tmp_path, idx_pair, which):
+        # 2**31 - 1 images would be about 1.6 TB; the count is checked
+        # against the file's size before anything that large is read
+        images, labels, ip, lp = idx_pair
+        paths = {"images": tmp_path / "huge_imgs", "labels": tmp_path / "huge_lbls"}
+        write_idx_pair(images, labels, paths["images"], paths["labels"])
+        data = bytearray(paths[which].read_bytes())
+        data[4:8] = struct.pack(">i", 2 ** 31 - 1)
+        paths[which].write_bytes(bytes(data))
+        with pytest.raises(ds.TruncatedFile) as e:
+            ds.load_idx(str(paths["images"]), str(paths["labels"]))
+        assert paths[which].name in str(e.value) and "offset" in str(e.value)
 
     def test_label_out_of_range(self, tmp_path, idx_pair):
         images, labels, ip, _ = idx_pair

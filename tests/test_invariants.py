@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from approxdbn import ddbn
 from approxdbn.ddbn import (
+    CandidateEvaluator,
     DdbnModel,
     PrecisionMap,
     TrainConfig,
@@ -166,3 +167,88 @@ def test_batched_stochastic_unquantized_matches_closely():
     preds, probs = model.classify(X, "stochastic", samples=3, seed=5)
     np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(preds, np.argmax(expected, axis=1))
+
+
+# ---- incremental candidate evaluation --------------------------------
+
+
+def _random_model(layer_sizes, rng):
+    model = DdbnModel.random_init(layer_sizes, seed=int(rng.integers(2 ** 16)),
+                                  scale=1.0)
+    for layer in range(model.num_hidden_layers):
+        model.hidden_biases[layer] = rng.normal(size=layer_sizes[layer + 1])
+    model.class_bias = rng.normal(size=layer_sizes[-1])
+    return model
+
+
+def _cut(pmap, rng, count, cut):
+    """``pmap`` with ``cut`` bits taken off ``count`` random neurons of any
+    layer, down to 0 (pruned)."""
+    new = pmap.copy()
+    pooled = [(layer, idx) for layer, bits in enumerate(new.hidden_frac_bits)
+              for idx in range(len(bits))]
+    for k in rng.choice(len(pooled), min(count, len(pooled)), replace=False):
+        layer, idx = pooled[k]
+        bits = new.hidden_frac_bits[layer]
+        bits[idx] = max(0, bits[idx] - cut)
+    return new
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 16),
+       hidden=st.lists(st.integers(2, 8), min_size=1, max_size=3),
+       frac_bits=st.integers(1, 8),
+       steps=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 8),
+                                st.booleans()), min_size=1, max_size=8))
+def test_candidate_evaluator_matches_classify(seed, hidden, frac_bits, steps):
+    """Along a random sequence of budget cuts, some accepted and some
+    rejected, the evaluator's accuracy equals ``evaluate_accuracy`` of the
+    candidate and its kept activations and probabilities byte-equal a
+    full pass of the accepted model."""
+    rng = np.random.default_rng(seed)
+    model = _random_model([16, *hidden, 10], rng)
+    X = (rng.random((60, 16)) > 0.5).astype(float)
+    y = rng.integers(0, 10, len(X))
+    pmap = PrecisionMap.uniform(hidden, frac_bits)
+    current = model.apply_precision(pmap)
+    evaluator = CandidateEvaluator(current, X, y)
+    for count, cut, accept in steps:
+        pmap_next = _cut(pmap, rng, count, cut)
+        candidate = current.apply_precision(pmap_next)
+        assert evaluator.accuracy(candidate) == evaluate_accuracy(candidate, X, y)
+        if accept:
+            evaluator.accept()
+            pmap, current = pmap_next, candidate
+        assert evaluator.model is current
+        assert evaluator.a0.tobytes() == current.hidden_probs(0, X).tobytes()
+        assert evaluator.probs.tobytes() == current.classify(X)[1].tobytes()
+
+
+@pytest.mark.parametrize("case,fast", [
+    ("binary", True),
+    ("grayscale", False),
+    ("budget_35", True),    # 8 + 35 + ceil(log2 784) = 53 bits
+    ("budget_36", False),
+    ("no_map", False),
+])
+def test_candidate_evaluator_fallback(monkeypatch, case, fast):
+    rng = np.random.default_rng(3)
+    width = 784 if case.startswith("budget") else 16
+    model = _random_model([width, 5, 4, 10], rng)
+    X = rng.random((40, width))
+    if case != "grayscale":
+        X = (X > 0.5).astype(float)
+    y = rng.integers(0, 10, len(X))
+    pmap = PrecisionMap.uniform([5, 4], int(case[-2:]) if width == 784 else 6)
+    accepted = model if case == "no_map" else model.apply_precision(pmap)
+    calls = []
+    full = ddbn.evaluate_accuracy
+    monkeypatch.setattr(ddbn, "evaluate_accuracy",
+                        lambda *a, **k: calls.append(1) or full(*a, **k))
+    evaluator = CandidateEvaluator(accepted, X, y)
+    for count in (1, 3):
+        candidate = accepted.apply_precision(_cut(pmap, rng, count, 2))
+        assert evaluator.accuracy(candidate) == full(candidate, X, y)
+        evaluator.accept()
+        accepted = candidate
+    assert (evaluator.a0 is not None, len(calls)) == ((True, 0) if fast else (False, 2))
