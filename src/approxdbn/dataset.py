@@ -101,7 +101,7 @@ def load_idx(images_path, labels_path) -> LabeledBinaryDataset:
         if count < 1:
             raise DatasetError(
                 f"{images_path}: header gives {count} images, expected at least 1")
-        if rows * cols != IMAGE_PIXELS:
+        if rows < 1 or cols < 1 or rows * cols != IMAGE_PIXELS:
             raise DatasetError(
                 f"{images_path}: images are {rows}x{cols} pixels, "
                 f"expected {IMAGE_PIXELS}"

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fixedpoint import FixedPointFormat, quantize_all
+from .fixedpoint import FixedPointFormat, quantize_all, quantize_grid
 
 MODEL_MAGIC = b"ADBN"
 MODEL_VERSION = 1
@@ -73,6 +73,14 @@ class PrecisionMap:
                                     # value supports e.g. Q8.56 weights with
                                     # Q0.64 activations
 
+    def __post_init__(self):
+        top = max([self.class_frac_bits, self.global_frac_bits]
+                  + [int(np.max(b, initial=0)) for b in self.hidden_frac_bits])
+        try:  # every budget's formats fit 64 bits
+            self.weight_format(top), self.activation_format(top)
+        except ValueError as e:
+            raise ValueError(f"bit budget {top}: {e}") from e
+
     @classmethod
     def uniform(cls, hidden_sizes, frac_bits, activation_frac_bits=0):
         return cls(
@@ -102,6 +110,16 @@ class PrecisionMap:
             budget = self.activation_frac_bits
         return FixedPointFormat(signed=False, int_bits=0, frac_bits=budget)
 
+    def grid(self, bits, activation):
+        """``quantize_grid``'s scale, lo and hi of the activation or weight format
+        of each budget in the array ``bits``, as FixedPointFormat gives them."""
+        if activation and self.activation_frac_bits:
+            bits = np.where(bits > 0, self.activation_frac_bits, 0)
+        top = 1.0 if activation else 2.0 ** (self.weight_int_bits - 1)
+        live, scale = bits > 0, np.ldexp(1.0, bits)
+        return (scale, np.where(live, 0.0 if activation else -top, 0.0),
+                np.where(live, top - 1.0 / scale, 0.0))
+
     def total_hidden_bits(self) -> int:
         return int(sum(b.sum() for b in self.hidden_frac_bits))
 
@@ -117,13 +135,9 @@ class PrecisionMap:
             raise ValueError("bit-length increase is not allowed")
 
 
-def _quantize_columns(arr, frac_bits, fmt_fn):
-    """Quantize each column of ``arr`` (last axis) under its own format."""
-    out = np.array(arr, dtype=np.float64)
-    for n in np.unique(frac_bits):
-        cols = np.asarray(frac_bits) == n
-        out[..., cols] = quantize_all(out[..., cols], fmt_fn(int(n)))
-    return out
+def _quantize_columns(arr, frac_bits, pmap, activation=False):
+    """Quantize each column of ``arr`` (last axis) under its own budget's format."""
+    return quantize_grid(arr, *pmap.grid(np.asarray(frac_bits), activation))
 
 
 @dataclass
@@ -182,8 +196,8 @@ class DdbnModel:
         if pmap is None:
             return sigmoid(z)
         bits = pmap.hidden_frac_bits[layer][cols]
-        z = _quantize_columns(z, bits, pmap.weight_format)
-        return _quantize_columns(sigmoid(z), bits, pmap.activation_format)
+        z = _quantize_columns(z, bits, pmap)
+        return _quantize_columns(sigmoid(z), bits, pmap, activation=True)
 
     def class_probs(self, h):
         """Softmax class probabilities given the top hidden layer."""
@@ -282,14 +296,13 @@ def _requantize_layer(model, layer):
     pmap = model.precision
     if pmap is None:
         return
-    fmt = pmap.weight_format
     bits = pmap.hidden_frac_bits[layer]
-    model.weights[layer] = _quantize_columns(model.weights[layer], bits, fmt)
-    model.hidden_biases[layer] = _quantize_columns(model.hidden_biases[layer], bits, fmt)
+    model.weights[layer] = _quantize_columns(model.weights[layer], bits, pmap)
+    model.hidden_biases[layer] = _quantize_columns(model.hidden_biases[layer], bits, pmap)
     vb = model.visible_biases[layer]
     model.visible_biases[layer] = (
-        quantize_all(vb, fmt(pmap.global_frac_bits)) if layer == 0
-        else _quantize_columns(vb, pmap.hidden_frac_bits[layer - 1], fmt))
+        quantize_all(vb, pmap.weight_format(pmap.global_frac_bits)) if layer == 0
+        else _quantize_columns(vb, pmap.hidden_frac_bits[layer - 1], pmap))
 
 
 def _requantize_class(model):
@@ -561,6 +574,8 @@ def load_model(path) -> DdbnModel:
     if n_sizes < 3:
         raise ModelFileError(f"{path}: {n_sizes} layer sizes, a DDBN needs at least 3")
     sizes = list(r.unpack(f"<{n_sizes}I"))
+    if min(sizes) < 1:
+        raise ModelFileError(f"{path}: layer sizes {sizes}, every layer needs a unit")
     weights, h_biases, v_biases = [], [], []
     for prev, cur in zip(sizes[:-2], sizes[1:-1]):
         weights.append(r.array((prev, cur)))
@@ -576,7 +591,10 @@ def load_model(path) -> DdbnModel:
             np.frombuffer(r.take(n * 2), dtype="<u2").astype(np.int64)
             for n in sizes[1:-1]
         ]
-        pmap = PrecisionMap(hidden_bits, cfb, gfb, wib, afb)
+        try:
+            pmap = PrecisionMap(hidden_bits, cfb, gfb, wib, afb)
+        except ValueError as e:
+            raise ModelFileError(f"{path}: {e}") from e
     (meta_len,) = r.unpack("<I")
     try:
         metadata = json.loads(r.take(meta_len).decode())
@@ -588,13 +606,6 @@ def load_model(path) -> DdbnModel:
     params = weights + h_biases + v_biases + [class_weights, class_bias]
     if not all(np.isfinite(p).all() for p in params):
         raise ModelFileError(f"{path}: a parameter is not finite")
-    if pmap is not None:
-        top = max([cfb, gfb] + [int(b.max(initial=0)) for b in hidden_bits])
-        try:
-            pmap.weight_format(top)
-            pmap.activation_format(top)
-        except ValueError as e:
-            raise ModelFileError(f"{path}: bit budget {top}: {e}") from e
     return DdbnModel(sizes, weights, h_biases, v_biases, class_weights,
                      class_bias, pmap, metadata)
 

@@ -60,11 +60,30 @@ def quantize(x: float, fmt: FixedPointFormat) -> float:
 def quantize_all(values: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
     """Saturate each value into the format's range, then round to the
     nearest multiple of 2^-n with ties away from zero; preserves shape."""
+    return quantize_grid(values, 2.0 ** fmt.frac_bits, fmt.min_value, fmt.max_value)
+
+
+def quantize_grid(values, scale, lo, hi):
+    """:func:`quantize_all` with scalar or per-column (last axis) bounds and a
+    power-of-two ``scale``. +-0.0 gives +0.0, a negative value that rounds to 0
+    gives -0.0, and a column with lo == hi (zero bits) gives +0.0 for any input,
+    NaN included. Writes one fresh array, never ``values``."""
     values = np.asarray(values, dtype=np.float64)
-    if fmt.total_bits == 0:
-        return np.zeros_like(values)
-    x = np.clip(values, fmt.min_value, fmt.max_value)
-    scale = 2.0 ** fmt.frac_bits
-    q = np.sign(x) * np.floor(np.abs(x) * scale + 0.5) / scale
-    # rounding at the range edge can step past the saturation bound
-    return np.clip(q, fmt.min_value, fmt.max_value)
+    out = np.maximum(values, lo, out=np.empty_like(values))
+    np.minimum(out, hi, out=out)
+    signed = np.less(lo, 0).any()  # else x >= +0.0 here
+    if signed:  # sign(x) * floor(|x| * scale + 0.5); -0.0 is not below 0
+        sign = 1 - 2 * np.less(out, 0).view(np.int8)  # int8: 1/8 of a float array
+        np.abs(out, out=out)
+    out *= scale
+    out += 0.5
+    np.floor(out, out=out)
+    if signed:
+        out *= sign
+    out *= 1.0 / scale  # exact for a power of two
+    # rounding can pass hi (Q8.46: hi * scale + 0.5 rounds to 2^53), never lo;
+    # minimum returns its 2nd argument on a tie, so -0.0 under hi = +0.0 stays
+    np.minimum(hi, out, out=out)
+    if np.equal(lo, hi).any():
+        np.copyto(out, 0.0, where=np.equal(lo, hi))
+    return out

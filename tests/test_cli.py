@@ -269,6 +269,18 @@ def test_negative_label_count_exits_3(workspace, capsys):
     assert "lbls" in err and "-5 labels" in err
 
 
+def test_negative_image_dimensions_exit_3(workspace, capsys):
+    # -28 x -28 is 784, and the file holds 784 bytes per image
+    tmp, cfg, _ = workspace
+    images = tmp / "imgs"
+    data = bytearray(images.read_bytes())
+    data[8:16] = struct.pack(">2i", -28, -28)
+    images.write_bytes(bytes(data))
+    assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "imgs" in err and "-28x-28" in err
+
+
 class TestSampleCounts:
     def test_eval_samples_flag(self, trained):
         tmp, cfg, config, model = trained
@@ -334,9 +346,10 @@ def test_bad_config_value(trained, capsys, command, edit):
 def _write_bad_model(path, fault):
     """A model file with a valid checksum that ``load_model`` must reject,
     or (``input-width``, ``classes``) that the CLI's data cannot use."""
-    sizes = {"input-width": [100, 8, 6, 10], "classes": [784, 8, 6, 12]}
+    sizes = {"input-width": [100, 8, 6, 10], "classes": [784, 8, 6, 12],
+             "zero-width": [784, 0, 10]}
     m = ddbn.DdbnModel.random_init(sizes.get(fault, [784, 8, 6, 10]), seed=0)
-    m = m.apply_precision(ddbn.PrecisionMap.uniform([8, 6], 4))
+    m = m.apply_precision(ddbn.PrecisionMap.uniform(m.hidden_sizes, 4))
     if fault == "budget":
         m.precision.hidden_frac_bits[1][2] = 62  # Q8.62 is 70 bits
     if fault == "nan":
@@ -348,7 +361,7 @@ def _write_bad_model(path, fault):
 
 
 @pytest.mark.parametrize("fault", ["trailing", "budget", "nan", "input-width",
-                                   "classes"])
+                                   "classes", "zero-width"])
 def test_malformed_model_exits_3(workspace, capsys, fault):
     tmp, cfg, config = workspace
     model = tmp / "bad_model.bin"
@@ -356,9 +369,10 @@ def test_malformed_model_exits_3(workspace, capsys, fault):
     assert cli.main(["eval", "--model", str(model), "--images", config["test_images"],
                      "--labels", config["test_labels"]]) == cli.EXIT_DATA
     assert "bad_model.bin" in capsys.readouterr().err
-    assert cli.main(["search", "--config", str(cfg), "--model",
-                     str(model)]) == cli.EXIT_DATA
-    assert "bad_model.bin" in capsys.readouterr().err
+    for command in ("search", "curve"):
+        assert cli.main([command, "--config", str(cfg), "--model",
+                         str(model)]) == cli.EXIT_DATA
+        assert "bad_model.bin" in capsys.readouterr().err
 
 
 def test_blas_pin_warns_once_without_bundled_openblas(monkeypatch, capsys):

@@ -261,6 +261,25 @@ class TestRetrainQuantized:
         # pruned neuron's incoming parameters pinned at zero
         np.testing.assert_array_equal(out.weights[0][:, 2], 0.0)
 
+    def test_requantizing_leaves_the_masters_unquantized(self, tiny_data):
+        # _cd hands its full-precision masters to the model, then requantizes
+        X, T, _ = tiny_data
+        model = train_ddbn(X, T, [12, 5, 4, 10], TrainConfig(epochs=1, batch_size=10))
+        model = model.apply_precision(PrecisionMap.uniform([5, 4], 3))
+        rng = np.random.default_rng(4)
+        for layer, top in ((0, False), (1, True)):
+            master = [p + rng.uniform(-0.01, 0.01, p.shape)
+                      for p in ddbn._rbm_params(model, layer, top)]
+            before = [p.tobytes() for p in master]
+            ddbn._set_rbm_params(model, layer, master)
+            ddbn._requantize_layer(model, layer)
+            if top:
+                ddbn._requantize_class(model)
+            assert [p.tobytes() for p in master] == before
+            quantized = ddbn._rbm_params(model, layer, top)
+            assert all(q is not p and q.tobytes() != p.tobytes()
+                       for q, p in zip(quantized, master))
+
     def test_diverged_retraining_raises(self, tiny_data):
         # one update makes some masters infinite but none NaN; quantizing
         # clips them to finite values, so only the masters show it
@@ -308,6 +327,14 @@ class TestQuantizedInference:
             assert all(np.all((a >= 0) & (a <= 1)) for a in acts)
             sums = q.class_probs(acts[-1]).sum(axis=1)
             assert np.all(np.abs(sums - 1.0) <= 10 * 2.0 ** -n)
+
+    def test_budget_beyond_64_bits_rejected(self):
+        with pytest.raises(ValueError, match="bit budget 57"):
+            PrecisionMap.uniform([4, 3], 57)  # Q8.57
+        pmap = PrecisionMap.uniform([4, 3], 8)
+        pmap.hidden_frac_bits[1][0] = 57
+        with pytest.raises(ValueError, match="bit budget 57"):
+            DdbnModel.random_init([6, 4, 3, 10], seed=0).apply_precision(pmap)
 
     def test_requantization_is_noop(self, tiny_data):
         X, T, _ = tiny_data

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxdbn.fixedpoint import FixedPointFormat, quantize, quantize_all
+from approxdbn.ddbn import PrecisionMap, _quantize_columns
+from approxdbn.fixedpoint import FixedPointFormat, quantize, quantize_all, quantize_grid
 
 from conftest import brute_force_quantize, representable_values, small_formats
 
@@ -124,3 +125,87 @@ def test_exhaustive_oracle_small_formats():
         got = quantize_all(xs, fmt)
         want = brute_force_quantize(xs, fmt)
         np.testing.assert_array_equal(got, want, err_msg=repr(fmt))
+
+
+def _signed_zero_oracle(xs, fmt):
+    """``brute_force_quantize`` with the sign of zero spelled out: a negative
+    value that rounds to zero in a signed format with bits gives -0.0, every
+    other zero is +0.0."""
+    want = brute_force_quantize(xs, fmt)
+    negative_zero = (want == 0) & (xs < 0) & fmt.signed & (fmt.total_bits > 0)
+    return np.where(negative_zero, -0.0, want)
+
+
+def _edge_values(step, lo, hi):
+    """+-0.0, small negatives that round to -0.0, ties and both saturation
+    edges of a format with this step and range."""
+    return np.array([0.0, -0.0, step / 4, -step / 4, -step / 2 + step / 8, step / 2,
+                     -step / 2, 1.5 * step, -1.5 * step, lo, hi, lo - step, hi + step,
+                     np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+                     np.nextafter(hi, -np.inf), hi + step / 2, lo - step / 2])
+
+
+def test_quantize_all_bytes_match_oracle_small_formats():
+    # assert_array_equal counts -0.0 == +0.0; the bytes do not
+    rng = np.random.default_rng(11)
+    for fmt in small_formats():
+        xs = np.concatenate([_edge_values(fmt.step, fmt.min_value, fmt.max_value),
+                             rng.uniform(-80, 80, 500),
+                             rng.uniform(-fmt.step, fmt.step, 100)])
+        assert quantize_all(xs, fmt).tobytes() == _signed_zero_oracle(xs, fmt).tobytes(), fmt
+
+
+def test_scalar_signed_zeros():
+    assert np.float64(quantize(-0.0, Q8_8)).tobytes() == np.float64(0.0).tobytes()
+    assert np.float64(quantize(-2.0 ** -10, Q8_8)).tobytes() == np.float64(-0.0).tobytes()
+    assert np.float64(quantize(-2.0 ** -10, FixedPointFormat(False, 0, 8))).tobytes() \
+        == np.float64(0.0).tobytes()
+    zero_bit = FixedPointFormat(True, 0, 0)
+    for x in (np.nan, -np.inf, -0.0, -3.0):
+        assert np.float64(quantize(x, zero_bit)).tobytes() == np.float64(0.0).tobytes()
+
+
+@pytest.mark.parametrize("activation_frac_bits", [0, 64])
+@pytest.mark.parametrize("kind", ["weight", "activation"])
+def test_column_quantizer_bytes_match_per_format(kind, activation_frac_bits):
+    # Q8.46 is the widest format whose rounding steps past its upper bound;
+    # Q8.56's maximum, 128 - 2^-56, is 128.0 in float64
+    budgets = np.array([0, 1, 3, 8, 46, 53, 56, 0, 2])
+    pmap = PrecisionMap([budgets], 8, 8, activation_frac_bits=activation_frac_bits)
+    activation = kind == "activation"
+    fmt = getattr(pmap, f"{kind}_format")
+    formats = [fmt(int(n)) for n in budgets]
+    assert [fmt.max_value for fmt in formats][6] == (128.0 if kind == "weight" else 1.0)
+    rng = np.random.default_rng(5)
+    edges = [_edge_values(2.0 ** -max(f.frac_bits, 1), f.min_value, f.max_value)
+             for f in formats]
+    x = np.concatenate([np.stack(edges, axis=1), 300 * rng.standard_normal((50, 9)),
+                        rng.uniform(-2.0 ** -8, 2.0 ** -8, (50, 9))])
+    x[::3, budgets == 0] = np.nan  # a pruned column gives +0.0 for any input
+    got = _quantize_columns(x, budgets, pmap, activation)
+    for j, f in enumerate(formats):
+        assert got[:, j].tobytes() == quantize_all(x[:, j], f).tobytes(), f
+    assert got[:, budgets == 0].tobytes() == np.zeros((len(x), 2)).tobytes()
+    assert got.shape == x.shape
+    for row in (0, 1, 4, 13):  # 1-D, like a bias
+        assert _quantize_columns(x[row], budgets, pmap, activation).tobytes() == got[row].tobytes()
+    cols = [7, 1, 4]  # a column subset, as hidden_probs(layer, v, cols) takes
+    assert (_quantize_columns(x[:, cols], budgets[cols], pmap, activation).tobytes()
+            == got[:, cols].tobytes())
+    if kind == "weight":  # the small formats against the exhaustive oracle
+        for j in (1, 2, 8):
+            assert got[:, j].tobytes() == _signed_zero_oracle(x[:, j], formats[j]).tobytes()
+
+
+@pytest.mark.parametrize("writeable", [True, False])  # the dataset's images are not
+def test_quantizer_never_writes_into_its_input(writeable):
+    pmap = PrecisionMap([np.array([0, 2, 5, 56])], 8, 8)
+    x = np.random.default_rng(2).uniform(-200, 200, (30, 4))
+    x[0] = -0.0
+    x.flags.writeable = writeable
+    before = x.tobytes()
+    outs = [_quantize_columns(x, pmap.hidden_frac_bits[0], pmap),
+            _quantize_columns(x, pmap.hidden_frac_bits[0], pmap, activation=True),
+            quantize_all(x, Q8_8), quantize_grid(x, 4.0, -1.0, 1.0)]
+    assert x.tobytes() == before
+    assert not any(np.shares_memory(out, x) for out in outs)
