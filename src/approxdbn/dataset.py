@@ -20,18 +20,6 @@ class DatasetError(Exception):
     pass
 
 
-class MagicMismatch(DatasetError):
-    pass
-
-
-class CountMismatch(DatasetError):
-    pass
-
-
-class TruncatedFile(DatasetError):
-    pass
-
-
 def binarize(pixels):
     """Threshold pixels in [0, 1] to {0, 1}; strictly greater than 0.5
     maps to 1."""
@@ -48,7 +36,7 @@ class LabeledBinaryDataset:
 
     def __post_init__(self):
         if len(self.raw) != len(self.labels):
-            raise CountMismatch(
+            raise DatasetError(
                 f"{len(self.raw)} images but {len(self.labels)} labels"
             )
 
@@ -80,7 +68,7 @@ def _read_exact(f, nbytes, path, what):
     st = os.fstat(f.fileno())
     data = f.read(min(nbytes, st.st_size - f.tell()) if stat.S_ISREG(st.st_mode) else nbytes)
     if len(data) != nbytes:
-        raise TruncatedFile(
+        raise DatasetError(
             f"{path}: expected {nbytes} bytes for {what} at offset "
             f"{f.tell() - len(data)}, got {len(data)}"
         )
@@ -94,7 +82,7 @@ def load_idx(images_path, labels_path) -> LabeledBinaryDataset:
             ">4i", _read_exact(f, 16, images_path, "image header")
         )
         if magic != IMAGE_MAGIC:
-            raise MagicMismatch(
+            raise DatasetError(
                 f"{images_path}: magic 0x{magic:08x} at offset 0, "
                 f"expected 0x{IMAGE_MAGIC:08x}"
             )
@@ -116,7 +104,7 @@ def load_idx(images_path, labels_path) -> LabeledBinaryDataset:
             ">2i", _read_exact(f, 8, labels_path, "label header")
         )
         if magic != LABEL_MAGIC:
-            raise MagicMismatch(
+            raise DatasetError(
                 f"{labels_path}: magic 0x{magic:08x} at offset 0, "
                 f"expected 0x{LABEL_MAGIC:08x}"
             )
@@ -134,7 +122,7 @@ def load_idx(images_path, labels_path) -> LabeledBinaryDataset:
             )
 
     if count != label_count:
-        raise CountMismatch(
+        raise DatasetError(
             f"{images_path} has {count} images but {labels_path} has "
             f"{label_count} labels"
         )

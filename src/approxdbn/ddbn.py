@@ -21,19 +21,11 @@ from .fixedpoint import FixedPointFormat, quantize_all, quantize_grid
 
 MODEL_MAGIC = b"ADBN"
 MODEL_VERSION = 1
-_CHUNK = 2048  # rows per propagation step: classify, CandidateEvaluator, criticality
+_CHUNK = 2048  # rows per propagation step: mean_field_probs, classify, criticality
 MOMENTUM = 0.5  # CD velocity decay
 
 
 class ModelFileError(Exception):
-    pass
-
-
-class VersionMismatch(ModelFileError):
-    pass
-
-
-class ChecksumError(ModelFileError):
     pass
 
 
@@ -172,18 +164,6 @@ class DdbnModel:
         return cls(sizes, weights, h_biases, v_biases, class_weights,
                    np.zeros(sizes[-1]))
 
-    def copy(self):
-        return DdbnModel(
-            list(self.layer_sizes),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.hidden_biases],
-            [b.copy() for b in self.visible_biases],
-            self.class_weights.copy(),
-            self.class_bias.copy(),
-            self.precision.copy() if self.precision else None,
-            dict(self.metadata),
-        )
-
     # ---- inference -----------------------------------------------------
 
     def hidden_probs(self, layer, v, cols=slice(None)):
@@ -218,6 +198,18 @@ class DdbnModel:
             activations.append(v)
         return activations
 
+    def mean_field_probs(self, h, first=0):
+        """Mean-field class probabilities given the rows ``h`` that feed
+        hidden layer ``first`` (the images when 0), propagated ``_CHUNK``
+        rows per step."""
+        probs = np.empty((len(h), self.layer_sizes[-1]))
+        for start in range(0, len(h), _CHUNK):
+            a = h[start:start + _CHUNK]
+            for layer in range(first, self.num_hidden_layers):
+                a = self.hidden_probs(layer, a)
+            probs[start:start + _CHUNK] = self.class_probs(a)
+        return probs
+
     def classify(self, v, mode="mean_field", samples=10, seed=0):
         """Predict classes. Returns (predicted classes, class probability
         vectors); ties resolve to the lowest class index.
@@ -236,13 +228,13 @@ class DdbnModel:
             raise ValueError(f"unknown inference mode {mode!r}")
         if mode == "stochastic" and samples < 1:
             raise ValueError("stochastic mode needs samples >= 1")
-        probs = np.empty((len(v), self.layer_sizes[-1]))
-        step = _CHUNK if mode == "mean_field" else max(1, _CHUNK // samples)
-        for start in range(0, len(v), step):
-            rows = v[start:start + step]
-            if mode == "mean_field":
-                probs[start:start + step] = self.class_probs(self.forward_hidden(rows)[-1])
-            else:
+        if mode == "mean_field":
+            probs = self.mean_field_probs(v)
+        else:
+            probs = np.empty((len(v), self.layer_sizes[-1]))
+            step = max(1, _CHUNK // samples)
+            for start in range(0, len(v), step):
+                rows = v[start:start + step]
                 rngs = [np.random.default_rng(np.random.SeedSequence([seed, i]))
                         for i in range(start, start + len(rows))]
                 probs[start:start + step] = self._stochastic_probs(rows, samples, rngs)
@@ -266,10 +258,12 @@ class DdbnModel:
     # ---- precision -----------------------------------------------------
 
     def apply_precision(self, pmap):
-        """Quantize every parameter under ``pmap`` and attach the map; the
-        result satisfies the quantization fixpoint invariant."""
-        m = self.copy()
-        m.precision = pmap.copy()
+        """A new model, every array requantized under a copy of ``pmap``;
+        the result satisfies the quantization fixpoint invariant."""
+        m = replace(self, weights=list(self.weights),
+                    hidden_biases=list(self.hidden_biases),
+                    visible_biases=list(self.visible_biases),
+                    precision=pmap.copy(), metadata=dict(self.metadata))
         for layer in range(m.num_hidden_layers):
             _requantize_layer(m, layer)
         _requantize_class(m)
@@ -284,8 +278,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.seed < 0:
@@ -449,19 +443,18 @@ def confusion_counts(model, images, labels, mode="mean_field",
 
 
 class CandidateEvaluator:
-    """Mean-field accuracy of candidates that differ from the accepted ``model``
-    in a few neuron budgets: keeps the layer-0 activations ``a0`` and class
-    probabilities ``probs``, and recomputes only the layer-0 columns a candidate
-    changes, as exact float64 sums (``_exact``); else calls ``evaluate_accuracy``."""
+    """Mean-field accuracy of the accepted ``model`` under maps that change a few
+    neuron budgets; ``accept`` commits the last one. Keeps the layer-0 activations
+    ``a0`` and recomputes only the layer-0 columns a map changes, as exact float64
+    sums (``_exact``); else calls ``evaluate_accuracy``."""
 
     def __init__(self, model, images, labels):
         self.images = np.asarray(images, dtype=np.float64)
         self.labels = np.asarray(labels)
         self.binary = bool(np.isin(self.images, (0.0, 1.0)).all())
-        self.model, self.a0, self.probs = model, None, None
+        self.model, self.a0 = model, None
         if self._exact(model):
             self.a0 = self._layer0(model, slice(None))
-            self.probs = self._class_probs(model, self.a0)
 
     def _exact(self, model):
         pmap = model.precision
@@ -474,30 +467,24 @@ class CandidateEvaluator:
         return np.concatenate([model.hidden_probs(0, self.images[s:s + _CHUNK // 8], cols)
                                for s in range(0, len(self.images), _CHUNK // 8)])
 
-    def _class_probs(self, model, a0):
-        probs = np.empty((len(a0), model.layer_sizes[-1]))
-        for start in range(0, len(a0), _CHUNK):  # classify's chunks
-            h = a0[start:start + _CHUNK]
-            for layer in range(1, model.num_hidden_layers):
-                h = model.hidden_probs(layer, h)
-            probs[start:start + _CHUNK] = model.class_probs(h)
-        return probs
-
-    def accuracy(self, candidate):
-        """Accuracy of ``candidate``, which ``accept`` then commits."""
-        self._pending = (candidate, None, None)  # frees a rejected one's arrays
+    def accuracy(self, pmap):
+        """Accuracy of the accepted model under ``pmap``, a candidate that
+        ``accept`` then commits."""
+        self._pending = None  # frees a rejected candidate before the next
+        candidate = self.model.apply_precision(pmap)
+        self._pending = (candidate, None)
         if self.a0 is None or not self._exact(candidate):
             return evaluate_accuracy(candidate, self.images, self.labels)
-        changed = np.flatnonzero(candidate.precision.hidden_frac_bits[0]
+        changed = np.flatnonzero(pmap.hidden_frac_bits[0]
                                  != self.model.precision.hidden_frac_bits[0])
         a0 = self.a0.copy()
         a0[:, changed] = self._layer0(candidate, changed)
-        probs = self._class_probs(candidate, a0)
-        self._pending = (candidate, a0, probs)
+        self._pending = (candidate, a0)
+        probs = candidate.mean_field_probs(a0, first=1)
         return int((np.argmax(probs, axis=1) == self.labels).sum()) / len(a0)
 
     def accept(self):
-        self.model, self.a0, self.probs = self._pending
+        self.model, self.a0 = self._pending
 
 
 # ---- serialization -----------------------------------------------------
@@ -552,7 +539,7 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def array(self, shape):
-        count = int(np.prod(shape))
+        count = math.prod(shape)  # exact: a huge header must not wrap
         return np.frombuffer(self.take(count * 8), dtype="<f8").reshape(shape).copy()
 
 
@@ -563,12 +550,12 @@ def load_model(path) -> DdbnModel:
         raise ModelFileError(f"{path}: not a model file (bad magic)")
     stored_crc = struct.unpack("<I", data[-4:])[0]
     if zlib.crc32(data[:-4]) != stored_crc:
-        raise ChecksumError(f"{path}: CRC32 mismatch, file is corrupted")
+        raise ModelFileError(f"{path}: CRC32 mismatch, file is corrupted")
     r = _Reader(data[:-4], path)
     r.take(4)
     (version,) = r.unpack("<H")
     if version != MODEL_VERSION:
-        raise VersionMismatch(
+        raise ModelFileError(
             f"{path}: format version {version}, this build reads {MODEL_VERSION}")
     (n_sizes,) = r.unpack("<H")
     if n_sizes < 3:

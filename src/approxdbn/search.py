@@ -85,8 +85,8 @@ def bit_length_histogram(pmap):
 
 def phase1_uniform(model, config, val_images, val_labels):
     """Uniform reduction from the baseline format. Returns the quantized
-    model, its precision map, the trace, and the full-precision baseline
-    accuracy on the constraint split."""
+    model (its precision map attached), the trace, and the full-precision
+    baseline accuracy on the constraint split."""
     baseline_acc = evaluate_accuracy(model, val_images, val_labels)
     if baseline_acc == 0:
         raise InfeasibleConstraint(
@@ -104,20 +104,18 @@ def phase1_uniform(model, config, val_images, val_labels):
                     f"baseline format Q{pmap_next.weight_int_bits}.{n} reaches "
                     f"accuracy {acc:.4f}, below the constraint {threshold:.4f}")
             break
-        pmap, current = pmap_next, candidate
+        current = candidate
         trace.append(TraceRecord("phase1", len(trace), "approximate",
-                                 acc / baseline_acc, pmap.total_hidden_bits()))
-    return current, pmap, trace, baseline_acc
+                                 acc / baseline_acc, pmap_next.total_hidden_bits()))
+    return current, trace, baseline_acc
 
 
-def _neuron_order(model, pmap, use_criticality, train_images, train_one_hot,
-                  rng):
+def _neuron_order(model, use_criticality, train_images, train_one_hot, rng):
     if use_criticality:
         scores = crit.criticality_scores(model, train_images, train_one_hot)
         return crit.rank_neurons(scores)
-    pooled = [(layer, idx)
-              for layer, bits in enumerate(pmap.hidden_frac_bits)
-              for idx in range(len(bits))]
+    pooled = [(layer, idx) for layer, n in enumerate(model.hidden_sizes)
+              for idx in range(n)]
     return [pooled[i] for i in rng.permutation(len(pooled))]
 
 
@@ -133,43 +131,43 @@ def _reduce_candidates(pmap, candidates):
     return new if changed else None
 
 
-def phase2_greedy(model, pmap, config, train_images, train_one_hot,
+def phase2_greedy(model, config, train_images, train_one_hot,
                   val_images, val_labels, baseline_acc,
                   use_criticality=True, retrain=True,
                   train_config=None, order_seed=0):
-    """Criticality-ordered per-neuron reduction with quantization-aware
-    retraining; the class layer stays frozen at its Phase-1 format."""
+    """Criticality-ordered per-neuron reduction of the quantized ``model``'s
+    map with quantization-aware retraining; the class layer stays frozen at
+    its Phase-1 format. Returns the accepted model and the trace."""
     threshold = (1.0 - config.max_relative_accuracy_loss) * baseline_acc
     if train_config is None:
         train_config = TrainConfig()
     rng = np.random.default_rng(order_seed)
-    current = model
-    pmap = pmap.copy()
-    total_neurons = pmap.num_hidden_neurons()
+    total_neurons = sum(model.hidden_sizes)
     trace = []
-    evaluator = CandidateEvaluator(current, val_images, val_labels)
+    evaluator = CandidateEvaluator(model, val_images, val_labels)
 
     iteration = 0
     while True:
         iteration += 1
-        bits_before = pmap.total_hidden_bits()
-        order = _neuron_order(current, pmap, use_criticality, train_images,
+        bits_before = evaluator.model.precision.total_hidden_bits()
+        order = _neuron_order(evaluator.model, use_criticality, train_images,
                               train_one_hot, rng)
         for size in level2_sizes(total_neurons):
             candidates = order[:size]
             while True:
+                pmap = evaluator.model.precision
                 pmap_next = _reduce_candidates(pmap, candidates)
                 if pmap_next is None:
                     break
                 pmap.check_monotone_update(pmap_next)
-                acc = evaluator.accuracy(current.apply_precision(pmap_next))
+                acc = evaluator.accuracy(pmap_next)
                 if acc < threshold:
                     break
                 evaluator.accept()
-                pmap, current = pmap_next, evaluator.model
                 trace.append(TraceRecord("phase2", iteration, "approximate",
                                          acc / baseline_acc,
-                                         pmap.total_hidden_bits()))
+                                         pmap_next.total_hidden_bits()))
+        current, pmap = evaluator.model, evaluator.model.precision
         changed = pmap.total_hidden_bits() != bits_before
         if changed and retrain:
             retrain_config = replace(
@@ -180,8 +178,7 @@ def phase2_greedy(model, pmap, config, train_images, train_one_hot,
                                           train_one_hot, retrain_config)
             acc = evaluate_accuracy(retrained, val_images, val_labels)
             if acc >= threshold:
-                current = retrained
-                evaluator = CandidateEvaluator(current, val_images, val_labels)
+                evaluator = CandidateEvaluator(retrained, val_images, val_labels)
             else:  # keep pre-retrain parameters
                 acc = evaluate_accuracy(current, val_images, val_labels)
             trace.append(TraceRecord("phase2", iteration, "retrain",
@@ -189,7 +186,7 @@ def phase2_greedy(model, pmap, config, train_images, train_one_hot,
                                      pmap.total_hidden_bits()))
         if not changed:
             break
-    return current, pmap, trace
+    return evaluator.model, trace
 
 
 VARIANTS = ("full", "no_criticality", "no_retrain", "neither")
@@ -200,8 +197,6 @@ class SearchResult:
     model: object
     precision_map: PrecisionMap
     trace: list
-    baseline_accuracy: float
-    final_accuracy: float
     report: dict = field(default_factory=dict)
 
 
@@ -213,15 +208,15 @@ def run_approxdbn(model, config, train_images, train_one_hot,
     (seeded random order) and/or the retraining step."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    current, pmap, trace, baseline_acc = phase1_uniform(
+    current, trace, baseline_acc = phase1_uniform(
         model, config, val_images, val_labels)
-    current, pmap, p2_trace = phase2_greedy(
-        current, pmap, config, train_images, train_one_hot,
+    current, p2_trace = phase2_greedy(
+        current, config, train_images, train_one_hot,
         val_images, val_labels, baseline_acc,
         use_criticality=variant in ("full", "no_retrain"),
         retrain=variant in ("full", "no_criticality"),
         train_config=train_config, order_seed=order_seed)
-    trace = trace + p2_trace
+    trace, pmap = trace + p2_trace, current.precision
     final_acc = evaluate_accuracy(current, val_images, val_labels)
     report = {
         "variant": variant,
@@ -234,23 +229,24 @@ def run_approxdbn(model, config, train_images, train_one_hot,
             pmap.total_hidden_bits() / pmap.num_hidden_neurons(),
         "bit_length_histogram": bit_length_histogram(pmap),
     }
-    return SearchResult(current, pmap, trace, baseline_acc, final_acc, report)
+    return SearchResult(current, pmap, trace, report)
 
 
 def approximation_curve(model, config, train_images, train_one_hot,
                         eval_images, eval_labels, order="criticality",
                         order_seed=0):
     """Accuracy after pruning the first c neurons (c = 0..N) of the given
-    order, on a uniform baseline-format model."""
+    order, on a uniform baseline-format model. Point c's model is built
+    from point c - 1's; that only turns -0.0 parameters into +0.0."""
     pmap = PrecisionMap.uniform(model.hidden_sizes, config.baseline_frac_bits)
     rng = np.random.default_rng(order_seed)
-    ordering = _neuron_order(model, pmap, order == "criticality",
+    ordering = _neuron_order(model, order == "criticality",
                              train_images, train_one_hot, rng)
     current = model.apply_precision(pmap)
     accuracies = [evaluate_accuracy(current, eval_images, eval_labels)]
     evaluator = CandidateEvaluator(current, eval_images, eval_labels)
     for layer, idx in ordering:
         pmap.hidden_frac_bits[layer][idx] = 0
-        accuracies.append(evaluator.accuracy(model.apply_precision(pmap)))
+        accuracies.append(evaluator.accuracy(pmap))
         evaluator.accept()
     return np.array(accuracies)

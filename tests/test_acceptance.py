@@ -169,7 +169,7 @@ def test_search_constraint_and_budget(searched):
     result, config = searched
     totals = [r.total_bits for r in result.trace]
     monotone = totals == sorted(totals, reverse=True)
-    rel = result.final_accuracy / result.baseline_accuracy
+    rel = result.report["relative_accuracy"]
     mean_bits = result.report["mean_hidden_frac_bits"]
     ok = monotone and rel >= 0.90 and mean_bits <= 4.0
     report("greedy-search", ok,

@@ -115,6 +115,15 @@ class TestTrainCommand:
         assert "train.learning_rate" in capsys.readouterr().err
         assert not (tmp / "out" / "model.bin").exists()
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_rejected_before_training(self, workspace,
+                                                               capsys, rate):
+        tmp, cfg, config = workspace
+        config["train"]["learning_rate"] = rate
+        write_config(cfg, config)
+        assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert "learning_rate must be positive and finite" in capsys.readouterr().err
+
     def test_invalid_json(self, workspace):
         tmp, cfg, _ = workspace
         cfg.write_text("{not json")
@@ -319,6 +328,10 @@ def _curve_test_split_without_files(config):
     pytest.param("train", _set("train", "seed", value=-2), id="train_seed-negative"),
     pytest.param("train", _set("train", "learning_rate", value=True),
                  id="learning_rate-bool"),
+    pytest.param("train", _set("train", "learning_rate", value=float("nan")),
+                 id="learning_rate-nan"),
+    pytest.param("train", _set("train", "learning_rate", value=float("inf")),
+                 id="learning_rate-inf"),
     pytest.param("train", lambda config: config.pop("train_images"),
                  id="train_images-missing"),
     pytest.param("curve", _curve_test_split_without_files,
@@ -346,6 +359,11 @@ def test_bad_config_value(trained, capsys, command, edit):
 def _write_bad_model(path, fault):
     """A model file with a valid checksum that ``load_model`` must reject,
     or (``input-width``, ``classes``) that the CLI's data cannot use."""
+    if fault == "huge-sizes":  # save_model cannot write layers this large
+        blob = ddbn.MODEL_MAGIC + struct.pack("<HH3I", ddbn.MODEL_VERSION, 3,
+                                              2 ** 32 - 1, 2 ** 32 - 1, 10)
+        path.write_bytes(blob + zlib.crc32(blob).to_bytes(4, "little"))
+        return
     sizes = {"input-width": [100, 8, 6, 10], "classes": [784, 8, 6, 12],
              "zero-width": [784, 0, 10]}
     m = ddbn.DdbnModel.random_init(sizes.get(fault, [784, 8, 6, 10]), seed=0)
@@ -361,18 +379,21 @@ def _write_bad_model(path, fault):
 
 
 @pytest.mark.parametrize("fault", ["trailing", "budget", "nan", "input-width",
-                                   "classes", "zero-width"])
+                                   "classes", "zero-width", "huge-sizes"])
 def test_malformed_model_exits_3(workspace, capsys, fault):
     tmp, cfg, config = workspace
     model = tmp / "bad_model.bin"
     _write_bad_model(model, fault)
+    expected = ["bad_model.bin"] + (["truncated"] if fault == "huge-sizes" else [])
     assert cli.main(["eval", "--model", str(model), "--images", config["test_images"],
                      "--labels", config["test_labels"]]) == cli.EXIT_DATA
-    assert "bad_model.bin" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert all(s in err for s in expected)
     for command in ("search", "curve"):
         assert cli.main([command, "--config", str(cfg), "--model",
                          str(model)]) == cli.EXIT_DATA
-        assert "bad_model.bin" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(s in err for s in expected)
 
 
 def test_blas_pin_warns_once_without_bundled_openblas(monkeypatch, capsys):

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import math
 import struct
 import zlib
 
@@ -7,12 +9,10 @@ import pytest
 
 from approxdbn import ddbn
 from approxdbn.ddbn import (
-    ChecksumError,
     DdbnModel,
     ModelFileError,
     PrecisionMap,
     TrainConfig,
-    VersionMismatch,
     evaluate_accuracy,
     load_model,
     retrain_quantized,
@@ -193,8 +193,9 @@ class TestTraining:
                        TrainConfig())
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
+        for rate in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(learning_rate=rate)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
@@ -226,7 +227,7 @@ class TestRetrainQuantized:
         cfg = TrainConfig(epochs=1, batch_size=10, seed=5)
         base = train_ddbn(X, T, [12, 5, 4, 10], cfg)
         cont_cfg = TrainConfig(epochs=1, batch_size=10, seed=6)
-        plain = base.copy()
+        plain = copy.deepcopy(base)
         ddbn._train_stack(plain, X, T, cont_cfg)
         pmap = PrecisionMap.uniform([5, 4], 48)
         quant = retrain_quantized(base, pmap, X, T, cont_cfg)
@@ -355,7 +356,7 @@ class TestQuantizedInference:
         pmap.hidden_frac_bits[0][1] = 0
         pruned = m.apply_precision(pmap)
 
-        surgery = m.copy()
+        surgery = copy.deepcopy(m)
         keep = [0, 2, 3]
         surgery.layer_sizes = [6, 3, 3, 10]
         surgery.weights[0] = surgery.weights[0][:, keep]
@@ -398,7 +399,7 @@ class TestSerialization:
         blob = bytearray(path.read_bytes())
         blob[100] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(ChecksumError):
+        with pytest.raises(ModelFileError, match="CRC32 mismatch"):
             load_model(path)
 
     def test_newer_version_rejected(self, tmp_path):
@@ -408,7 +409,7 @@ class TestSerialization:
         blob[4:6] = struct.pack("<H", 2)
         blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
         path.write_bytes(bytes(blob))
-        with pytest.raises(VersionMismatch):
+        with pytest.raises(ModelFileError, match="format version 2"):
             load_model(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

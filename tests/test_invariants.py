@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from approxdbn import ddbn
+from approxdbn import ddbn, search
 from approxdbn.ddbn import (
     CandidateEvaluator,
     DdbnModel,
@@ -20,6 +20,7 @@ from approxdbn.search import (
     VARIANTS,
     InfeasibleConstraint,
     SearchConfig,
+    approximation_curve,
     run_approxdbn,
 )
 
@@ -64,7 +65,7 @@ def test_search_invariants(seed, hidden, loss, frac_bits, variant):
     # every committed step, retrains included, meets the constraint
     for rec in res.trace:
         assert rec.relative_accuracy >= 1 - loss - 1e-12
-    assert res.final_accuracy >= (1 - loss) * res.baseline_accuracy
+    assert res.report["final_accuracy"] >= (1 - loss) * res.report["baseline_accuracy"]
 
     # pruned neurons output exactly 0 on the inputs they really see
     a = X
@@ -202,9 +203,10 @@ def _cut(pmap, rng, count, cut):
                                 st.booleans()), min_size=1, max_size=8))
 def test_candidate_evaluator_matches_classify(seed, hidden, frac_bits, steps):
     """Along a random sequence of budget cuts, some accepted and some
-    rejected, the evaluator's accuracy equals ``evaluate_accuracy`` of the
-    candidate and its kept activations and probabilities byte-equal a
-    full pass of the accepted model."""
+    rejected, the evaluator's accuracy of a map equals ``evaluate_accuracy``
+    of the accepted model under that map, and its kept activations, carried
+    on through ``mean_field_probs``, byte-equal a full pass of the accepted
+    model."""
     rng = np.random.default_rng(seed)
     model = _random_model([16, *hidden, 10], rng)
     X = (rng.random((60, 16)) > 0.5).astype(float)
@@ -215,13 +217,41 @@ def test_candidate_evaluator_matches_classify(seed, hidden, frac_bits, steps):
     for count, cut, accept in steps:
         pmap_next = _cut(pmap, rng, count, cut)
         candidate = current.apply_precision(pmap_next)
-        assert evaluator.accuracy(candidate) == evaluate_accuracy(candidate, X, y)
+        assert evaluator.accuracy(pmap_next) == evaluate_accuracy(candidate, X, y)
         if accept:
             evaluator.accept()
-            pmap, current = pmap_next, candidate
+            pmap, current = pmap_next, evaluator.model
         assert evaluator.model is current
         assert evaluator.a0.tobytes() == current.hidden_probs(0, X).tobytes()
-        assert evaluator.probs.tobytes() == current.classify(X)[1].tobytes()
+        assert (evaluator.model.mean_field_probs(evaluator.a0, first=1).tobytes()
+                == evaluator.model.classify(X)[1].tobytes())
+
+
+@pytest.mark.parametrize("order", ["criticality", "random"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_curve_matches_oracle_from_original_model(order, seed):
+    """Each curve point's model is built from the previous point's; its
+    accuracy still equals the original model's under that point's map,
+    although the two models differ in the sign of zero parameters."""
+    rng = np.random.default_rng(seed)
+    hidden = [7, 6, 5]
+    model = _random_model([16, *hidden, 10], rng)
+    X = (rng.random((80, 16)) > 0.5).astype(float)
+    y = rng.integers(0, 10, len(X))
+    T = np.eye(10)[y]
+    cfg = SearchConfig(baseline_frac_bits=3)
+    curve = approximation_curve(model, cfg, X, T, X, y, order=order, order_seed=seed)
+
+    pmap = PrecisionMap.uniform(hidden, 3)
+    assert any(np.signbit(p[p == 0]).any()
+               for p in _parameters(model.apply_precision(pmap)))
+    ordering = search._neuron_order(model, order == "criticality", X, T,
+                                    np.random.default_rng(seed))
+    expected = [evaluate_accuracy(model.apply_precision(pmap), X, y)]
+    for layer, idx in ordering:
+        pmap.hidden_frac_bits[layer][idx] = 0
+        expected.append(evaluate_accuracy(model.apply_precision(pmap), X, y))
+    assert curve.tolist() == expected
 
 
 @pytest.mark.parametrize("case,fast", [
@@ -247,8 +277,9 @@ def test_candidate_evaluator_fallback(monkeypatch, case, fast):
                         lambda *a, **k: calls.append(1) or full(*a, **k))
     evaluator = CandidateEvaluator(accepted, X, y)
     for count in (1, 3):
-        candidate = accepted.apply_precision(_cut(pmap, rng, count, 2))
-        assert evaluator.accuracy(candidate) == full(candidate, X, y)
+        pmap_next = _cut(pmap, rng, count, 2)
+        candidate = accepted.apply_precision(pmap_next)
+        assert evaluator.accuracy(pmap_next) == full(candidate, X, y)
         evaluator.accept()
         accepted = candidate
     assert (evaluator.a0 is not None, len(calls)) == ((True, 0) if fast else (False, 2))

@@ -1,0 +1,125 @@
+"""Byte-identity check of two source trees on a benchmark workload.
+
+Usage (from anywhere):
+
+    python3 tools/compare_outputs.py TREE_A TREE_B --workload retrain|sweep --seed N
+
+Generates the inputs of ``perfbench/workloads.py``'s workload for the
+seed, then runs the CLI commands with each tree's ``src/`` (BLAS pinned
+to one thread): the workload's ``train``, ``search``, ``curve`` and
+``eval``, plus ``search`` with the test images set and ``eval`` in the
+other inference mode. Both trees write to the same output directory,
+one after the other, since some commands print that path. It hashes
+every file the commands write, except ``config_echo.json`` (it names the
+input paths), plus each command's standard output and exit code. It
+prints every difference and every command that did not exit 0, and
+exits 1 if there is one, else 0.
+"""
+
+import argparse
+import hashlib
+import importlib.util
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SKIPPED = {"config_echo.json"}
+
+
+def load_workloads():
+    """``perfbench/workloads.py``, imported by path; it imports its
+    sibling ``gen`` by module name."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def commands(inputs, out):
+    """(name, argv) of every command run on a tree, writing into ``out``."""
+    cmds = inputs.commands(str(out))
+    with open(inputs.config) as f:
+        config = json.load(f)
+    config.update(test_images=inputs.test_images, test_labels=inputs.test_labels)
+    test_config = os.path.join(inputs.root, "search_test_config.json")
+    with open(test_config, "w") as f:
+        json.dump(config, f, indent=2, sort_keys=True)
+    eval_argv = dict(cmds)["eval"]
+    other = "mean_field" if inputs.workload.eval_mode == "stochastic" else "stochastic"
+    mode = eval_argv.index("--mode") + 1
+    return cmds + [
+        ("search_test", ["search", "--config", test_config, "--model",
+                         os.path.join(out, "train", "model.bin"),
+                         "--out", os.path.join(out, "search_test")]),
+        ("eval_other", eval_argv[:mode] + [other] + eval_argv[mode + 1:]),
+    ]
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_tree(tree, inputs, out):
+    """Digests of one tree's run: ``file:<path>``, ``stdout:<command>``
+    and ``exit:<command>``."""
+    if not (Path(tree) / "src" / "approxdbn" / "cli.py").is_file():
+        raise SystemExit(f"no approxdbn sources under {tree}/src")
+    shutil.rmtree(out, ignore_errors=True)
+    env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
+    env.update({var: "1" for var in BLAS_VARS})
+    digests = {}
+    for name, argv in commands(inputs, out):
+        proc = subprocess.run([sys.executable, "-m", "approxdbn", *argv], env=env,
+                              cwd=inputs.root, capture_output=True)
+        digests[f"stdout:{name}"] = _sha256(proc.stdout)
+        digests[f"exit:{name}"] = str(proc.returncode)
+    for path in sorted(Path(out).rglob("*")):
+        if path.is_file() and path.name not in SKIPPED:
+            digests[f"file:{path.relative_to(out)}"] = _sha256(path.read_bytes())
+    return digests
+
+
+def compare(tree_a, tree_b, workload, seed, work):
+    """Differences, as printable lines, between the two trees' runs of
+    ``workload`` (a ``workloads.Workload``) under ``work``."""
+    inputs = load_workloads().Inputs(workload, seed, str(Path(work) / "inputs"))
+    inputs.write()
+    out = Path(work) / "out"
+    runs = [(tree, run_tree(tree, inputs, out)) for tree in (tree_a, tree_b)]
+    (_, a), (_, b) = runs
+    lines = [f"differs: {key} ({a.get(key, 'missing')[:12]} vs {b.get(key, 'missing')[:12]})"
+             for key in sorted(a.keys() | b.keys()) if a.get(key) != b.get(key)]
+    return lines + [f"failed: {key[5:]} exited {code} with {tree}"
+                    for tree, run in runs for key, code in run.items()
+                    if key.startswith("exit:") and code != "0"]
+
+
+def main(argv=None):
+    workloads = load_workloads()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("tree_a")
+    parser.add_argument("tree_b")
+    parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as work:
+        diffs = compare(args.tree_a, args.tree_b, workloads.WORKLOADS[args.workload],
+                        args.seed, work)
+    for line in diffs:
+        print(line)
+    print(f"{args.workload} seed {args.seed}: "
+          f"{'identical' if not diffs else f'{len(diffs)} problems'}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
