@@ -38,6 +38,7 @@ _TOP_LEVEL_KEYS = {
 _CURVE_KEYS = {"orders", "random_seeds", "eval_split"}
 _CURVE_ORDERS = ("criticality", "random")
 _JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
+_MAX_LAYER_SIZE = 2 ** 32 - 1  # save_model packs layer sizes as "<I"
 
 
 def _check_keys(section, allowed, name):
@@ -92,6 +93,9 @@ class RunConfig:
                 or any(isinstance(n, bool) or not isinstance(n, int) or n < 1
                        for n in self.hidden_sizes)):
             raise ConfigError("hidden_sizes must be a nonempty list of positive ints")
+        if max(self.hidden_sizes) > _MAX_LAYER_SIZE:
+            raise ConfigError(f"hidden_sizes must be at most {_MAX_LAYER_SIZE}: "
+                              "model files store layer sizes in 32 bits")
         self.train_subset = _typed(raw.get("train_subset", 0), int, "train_subset")
         if self.train_subset < 0:
             raise ConfigError("train_subset must be >= 0 (0 = every sample)")
@@ -181,8 +185,12 @@ def _load_train_split(config):
 def cmd_train(config):
     out = _prepare_out_dir(config)
     train, val = _load_train_split(config)
-    model = ddbn.train_ddbn(train.images, train.one_hot, config.layer_sizes,
-                            config.train_config)
+    try:
+        model = ddbn.train_ddbn(train.images, train.one_hot, config.layer_sizes,
+                                config.train_config)
+    except MemoryError as e:
+        raise ConfigError(f"hidden_sizes {config.hidden_sizes}: out of memory "
+                          f"while training the model: {e}") from e
     model_path = os.path.join(out, "model.bin")
     ddbn.save_model(model, model_path)
     summary = {

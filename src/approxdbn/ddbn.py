@@ -30,7 +30,12 @@ class ModelFileError(Exception):
 
 
 def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+    """1 / (1 + exp(-x)), computed in one fresh array."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.negative(x, out=np.empty_like(x))
+    np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def softmax(z):
@@ -260,14 +265,19 @@ class DdbnModel:
     def apply_precision(self, pmap):
         """A new model, every array requantized under a copy of ``pmap``;
         the result satisfies the quantization fixpoint invariant."""
-        m = replace(self, weights=list(self.weights),
-                    hidden_biases=list(self.hidden_biases),
-                    visible_biases=list(self.visible_biases),
-                    precision=pmap.copy(), metadata=dict(self.metadata))
+        m = self._sharing_arrays(pmap)
         for layer in range(m.num_hidden_layers):
             _requantize_layer(m, layer)
         _requantize_class(m)
         return m
+
+    def _sharing_arrays(self, pmap):
+        """A new model under a copy of ``pmap`` that shares this one's
+        parameter arrays (not its lists) until they are requantized."""
+        return replace(self, weights=list(self.weights),
+                       hidden_biases=list(self.hidden_biases),
+                       visible_biases=list(self.visible_biases),
+                       precision=pmap.copy(), metadata=dict(self.metadata))
 
 
 @dataclass
@@ -286,13 +296,30 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
 
 
-def _requantize_layer(model, layer):
+def _requantized(arr, bits, pmap, cols):
+    """``arr`` with its columns ``cols`` (last axis) requantized, in a new array;
+    ``cols`` is a slice or ascending indices."""
+    part = _quantize_columns(arr[..., cols], bits[cols], pmap)
+    if part.shape == arr.shape:  # every column
+        return part
+    out = arr.copy()
+    out[..., cols] = part
+    return out
+
+
+def _requantize_layer(model, layer, cols=slice(None)):
+    """Requantize the RBM under hidden layer ``layer`` into new arrays: the
+    weight and hidden-bias columns of its neurons ``cols`` (default all) and
+    its visible bias. With no column in ``cols``, the weights and hidden
+    bias stay shared."""
     pmap = model.precision
     if pmap is None:
         return
     bits = pmap.hidden_frac_bits[layer]
-    model.weights[layer] = _quantize_columns(model.weights[layer], bits, pmap)
-    model.hidden_biases[layer] = _quantize_columns(model.hidden_biases[layer], bits, pmap)
+    if len(bits[cols]):
+        model.weights[layer] = _requantized(model.weights[layer], bits, pmap, cols)
+        model.hidden_biases[layer] = _requantized(model.hidden_biases[layer], bits,
+                                                  pmap, cols)
     vb = model.visible_biases[layer]
     model.visible_biases[layer] = (
         quantize_all(vb, pmap.weight_format(pmap.global_frac_bits)) if layer == 0
@@ -444,14 +471,19 @@ def confusion_counts(model, images, labels, mode="mean_field",
 
 class CandidateEvaluator:
     """Mean-field accuracy of the accepted ``model`` under maps that change a few
-    neuron budgets; ``accept`` commits the last one. Keeps the layer-0 activations
-    ``a0`` and recomputes only the layer-0 columns a map changes, as exact float64
-    sums (``_exact``); else calls ``evaluate_accuracy``."""
+    neuron budgets; ``accept`` commits the last one. A candidate requantizes only
+    the columns whose budget changed, and the layer-0 activations ``a0`` are kept
+    and recomputed only in the layer-0 columns a map changes, as exact float64
+    sums (``_exact``); else it calls ``evaluate_accuracy``."""
 
     def __init__(self, model, images, labels):
         self.images = np.asarray(images, dtype=np.float64)
         self.labels = np.asarray(labels)
         self.binary = bool(np.isin(self.images, (0.0, 1.0)).all())
+        if model.precision is not None:
+            # candidates requantize only the columns they change, which needs
+            # the accepted model on its grid; the identity if it already is
+            model = model.apply_precision(model.precision)
         self.model, self.a0 = model, None
         if self._exact(model):
             self.a0 = self._layer0(model, slice(None))
@@ -467,18 +499,34 @@ class CandidateEvaluator:
         return np.concatenate([model.hidden_probs(0, self.images[s:s + _CHUNK // 8], cols)
                                for s in range(0, len(self.images), _CHUNK // 8)])
 
+    def _candidate(self, pmap):
+        """The accepted model under ``pmap`` and the neurons of each layer whose
+        budget changed. As the accepted model is on its grid, requantizing the
+        changed neurons' columns gives ``apply_precision``'s bytes; that needs
+        the same map apart from the hidden budgets."""
+        old = self.model.precision
+        if old is None or (replace(old, hidden_frac_bits=[])
+                           != replace(pmap, hidden_frac_bits=[])):
+            return self.model.apply_precision(pmap), None
+        changed = [np.flatnonzero(new != was) for new, was
+                   in zip(pmap.hidden_frac_bits, old.hidden_frac_bits)]
+        candidate = self.model._sharing_arrays(pmap)
+        for layer, cols in enumerate(changed):
+            # layer - 1's neurons govern this RBM's visible bias
+            if len(cols) or (layer and len(changed[layer - 1])):
+                _requantize_layer(candidate, layer, cols)
+        return candidate, changed
+
     def accuracy(self, pmap):
         """Accuracy of the accepted model under ``pmap``, a candidate that
         ``accept`` then commits."""
         self._pending = None  # frees a rejected candidate before the next
-        candidate = self.model.apply_precision(pmap)
+        candidate, changed = self._candidate(pmap)
         self._pending = (candidate, None)
-        if self.a0 is None or not self._exact(candidate):
+        if self.a0 is None or changed is None or not self._exact(candidate):
             return evaluate_accuracy(candidate, self.images, self.labels)
-        changed = np.flatnonzero(pmap.hidden_frac_bits[0]
-                                 != self.model.precision.hidden_frac_bits[0])
         a0 = self.a0.copy()
-        a0[:, changed] = self._layer0(candidate, changed)
+        a0[:, changed[0]] = self._layer0(candidate, changed[0])
         self._pending = (candidate, a0)
         probs = candidate.mean_field_probs(a0, first=1)
         return int((np.argmax(probs, axis=1) == self.labels).sum()) / len(a0)
@@ -593,6 +641,14 @@ def load_model(path) -> DdbnModel:
     params = weights + h_biases + v_biases + [class_weights, class_bias]
     if not all(np.isfinite(p).all() for p in params):
         raise ModelFileError(f"{path}: a parameter is not finite")
-    return DdbnModel(sizes, weights, h_biases, v_biases, class_weights,
-                     class_bias, pmap, metadata)
+    model = DdbnModel(sizes, weights, h_biases, v_biases, class_weights,
+                      class_bias, pmap, metadata)
+    if pmap is not None:  # values, not bytes: older builds wrote -0.0
+        fixed = model.apply_precision(pmap)
+        on_grid = (fixed.weights + fixed.hidden_biases + fixed.visible_biases
+                   + [fixed.class_weights, fixed.class_bias])
+        if not all(np.array_equal(p, q) for p, q in zip(params, on_grid)):
+            raise ModelFileError(
+                f"{path}: a parameter is off its precision map's fixed-point grid")
+    return model
 

@@ -65,9 +65,10 @@ def quantize_all(values: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
 
 def quantize_grid(values, scale, lo, hi):
     """:func:`quantize_all` with scalar or per-column (last axis) bounds and a
-    power-of-two ``scale``. +-0.0 gives +0.0, a negative value that rounds to 0
-    gives -0.0, and a column with lo == hi (zero bits) gives +0.0 for any input,
-    NaN included. Writes one fresh array, never ``values``."""
+    power-of-two ``scale``. Every zero result is +0.0, as a two's-complement
+    format has one zero, and a column with lo == hi (zero bits) gives +0.0 for
+    any input, NaN included. So a value already on its format's grid comes back
+    with the same bytes. Writes one fresh array, never ``values``."""
     values = np.asarray(values, dtype=np.float64)
     out = np.maximum(values, lo, out=np.empty_like(values))
     np.minimum(out, hi, out=out)
@@ -80,10 +81,10 @@ def quantize_grid(values, scale, lo, hi):
     np.floor(out, out=out)
     if signed:
         out *= sign
+        out += 0.0  # one zero: a negative that rounds to 0 is -0.0 until here
     out *= 1.0 / scale  # exact for a power of two
-    # rounding can pass hi (Q8.46: hi * scale + 0.5 rounds to 2^53), never lo;
-    # minimum returns its 2nd argument on a tie, so -0.0 under hi = +0.0 stays
-    np.minimum(hi, out, out=out)
+    # rounding can pass hi (Q8.46: hi * scale + 0.5 rounds to 2^53), never lo
+    np.minimum(out, hi, out=out)
     if np.equal(lo, hi).any():
         np.copyto(out, 0.0, where=np.equal(lo, hi))
     return out

@@ -237,7 +237,7 @@ def approximation_curve(model, config, train_images, train_one_hot,
                         order_seed=0):
     """Accuracy after pruning the first c neurons (c = 0..N) of the given
     order, on a uniform baseline-format model. Point c's model is built
-    from point c - 1's; that only turns -0.0 parameters into +0.0."""
+    from point c - 1's."""
     pmap = PrecisionMap.uniform(model.hidden_sizes, config.baseline_frac_bits)
     rng = np.random.default_rng(order_seed)
     ordering = _neuron_order(model, order == "criticality",

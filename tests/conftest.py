@@ -59,7 +59,7 @@ def representable_values(fmt):
 
 def brute_force_quantize(xs, fmt):
     """Independent oracle: nearest representable value by exhaustive grid
-    search, ties resolved away from zero."""
+    search, ties resolved away from zero; its one zero is +0.0."""
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     grid = representable_values(fmt)
     order = np.argsort(-np.abs(grid), kind="stable")

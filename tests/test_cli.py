@@ -115,6 +115,27 @@ class TestTrainCommand:
         assert "train.learning_rate" in capsys.readouterr().err
         assert not (tmp / "out" / "model.bin").exists()
 
+    def test_hidden_size_beyond_32_bits_rejected(self, workspace, capsys):
+        # save_model stores layer sizes in 32 bits; unchecked, train would
+        # ask numpy for an 8 x 2^32 weight array
+        tmp, cfg, config = workspace
+        config["hidden_sizes"] = [8, 2 ** 32]
+        write_config(cfg, config)
+        assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert "hidden_sizes must be at most 4294967295" in capsys.readouterr().err
+
+    def test_model_out_of_memory_exits_2(self, workspace, capsys, monkeypatch):
+        tmp, cfg, config = workspace
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 25.0 TiB for an array")
+
+        monkeypatch.setattr(ddbn.DdbnModel, "random_init", no_memory)
+        assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "hidden_sizes [8, 6]" in err and "Unable to allocate" in err
+        assert not (tmp / "out" / "model.bin").exists()
+
     @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
     def test_non_finite_learning_rate_rejected_before_training(self, workspace,
                                                                capsys, rate):
@@ -372,19 +393,23 @@ def _write_bad_model(path, fault):
         m.precision.hidden_frac_bits[1][2] = 62  # Q8.62 is 70 bits
     if fault == "nan":
         m.weights[0][3, 1] = np.nan
+    if fault == "off-grid":  # one ulp above a Q8.4 value
+        m.weights[0][3, 1] = np.nextafter(m.weights[0][3, 1], np.inf)
     ddbn.save_model(m, path)
     if fault == "trailing":
         blob = path.read_bytes()[:-4] + b"\0\0"
         path.write_bytes(blob + zlib.crc32(blob).to_bytes(4, "little"))
 
 
-@pytest.mark.parametrize("fault", ["trailing", "budget", "nan", "input-width",
-                                   "classes", "zero-width", "huge-sizes"])
+@pytest.mark.parametrize("fault", ["trailing", "budget", "nan", "off-grid",
+                                   "input-width", "classes", "zero-width",
+                                   "huge-sizes"])
 def test_malformed_model_exits_3(workspace, capsys, fault):
     tmp, cfg, config = workspace
     model = tmp / "bad_model.bin"
     _write_bad_model(model, fault)
-    expected = ["bad_model.bin"] + (["truncated"] if fault == "huge-sizes" else [])
+    expected = ["bad_model.bin"] + {"huge-sizes": ["truncated"],
+                                    "off-grid": ["off its precision map"]}.get(fault, [])
     assert cli.main(["eval", "--model", str(model), "--images", config["test_images"],
                      "--labels", config["test_labels"]]) == cli.EXIT_DATA
     err = capsys.readouterr().err

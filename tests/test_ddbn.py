@@ -441,6 +441,14 @@ class TestSerialization:
         with pytest.raises(ModelFileError, match="bit budget 57"):
             load_model(tmp_path / "m.bin")
 
+    def test_negative_zero_from_older_builds_loads(self, tmp_path):
+        # older quantizers wrote -0.0 where a negative value rounded to zero
+        m = self._model()
+        m.weights[0][0, 0] = m.class_bias[1] = -0.0
+        save_model(m, tmp_path / "m.bin")
+        again = load_model(tmp_path / "m.bin")
+        assert again.weights[0].tobytes() == m.weights[0].tobytes()
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_parameter_rejected(self, tmp_path, value):
         m = self._model()

@@ -212,8 +212,8 @@ def test_candidate_evaluator_matches_classify(seed, hidden, frac_bits, steps):
     X = (rng.random((60, 16)) > 0.5).astype(float)
     y = rng.integers(0, 10, len(X))
     pmap = PrecisionMap.uniform(hidden, frac_bits)
-    current = model.apply_precision(pmap)
-    evaluator = CandidateEvaluator(current, X, y)
+    evaluator = CandidateEvaluator(model.apply_precision(pmap), X, y)
+    current = evaluator.model
     for count, cut, accept in steps:
         pmap_next = _cut(pmap, rng, count, cut)
         candidate = current.apply_precision(pmap_next)
@@ -230,9 +230,10 @@ def test_candidate_evaluator_matches_classify(seed, hidden, frac_bits, steps):
 @pytest.mark.parametrize("order", ["criticality", "random"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_curve_matches_oracle_from_original_model(order, seed):
-    """Each curve point's model is built from the previous point's; its
-    accuracy still equals the original model's under that point's map,
-    although the two models differ in the sign of zero parameters."""
+    """Each curve point's model is built from the previous point's, by
+    requantizing only the pruned neuron's columns; its accuracy still equals
+    the original model's under that point's map, although some negative
+    parameter of the original model rounds to zero."""
     rng = np.random.default_rng(seed)
     hidden = [7, 6, 5]
     model = _random_model([16, *hidden, 10], rng)
@@ -243,8 +244,9 @@ def test_curve_matches_oracle_from_original_model(order, seed):
     curve = approximation_curve(model, cfg, X, T, X, y, order=order, order_seed=seed)
 
     pmap = PrecisionMap.uniform(hidden, 3)
-    assert any(np.signbit(p[p == 0]).any()
-               for p in _parameters(model.apply_precision(pmap)))
+    quantized = model.apply_precision(pmap)
+    assert any(((q == 0) & (p < 0)).any()
+               for p, q in zip(_parameters(model), _parameters(quantized)))
     ordering = search._neuron_order(model, order == "criticality", X, T,
                                     np.random.default_rng(seed))
     expected = [evaluate_accuracy(model.apply_precision(pmap), X, y)]
@@ -283,3 +285,41 @@ def test_candidate_evaluator_fallback(monkeypatch, case, fast):
         evaluator.accept()
         accepted = candidate
     assert (evaluator.a0 is not None, len(calls)) == ((True, 0) if fast else (False, 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 16),
+       hidden=st.lists(st.integers(2, 8), min_size=1, max_size=3),
+       frac_bits=st.integers(1, 8),
+       retrained=st.booleans(),
+       cuts=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 8), st.booleans()),
+                     min_size=1, max_size=6))
+def test_candidate_bytes_match_apply_precision(seed, hidden, frac_bits, retrained, cuts):
+    """The evaluator requantizes only the columns a map changes, yet each
+    candidate it commits byte-equals the accepted model's ``apply_precision``,
+    from a retrained accepted model too and when a cut also lowers the class
+    budget (which takes the full path)."""
+    rng = np.random.default_rng(seed)
+    model = _random_model([16, *hidden, 10], rng)
+    model.visible_biases = [rng.normal(size=n) for n in [16, *hidden[:-1]]]
+    X = (rng.random((30, 16)) > 0.5).astype(float)
+    y = rng.integers(0, 10, len(X))
+    pmap = PrecisionMap.uniform(hidden, frac_bits)
+    accepted = model.apply_precision(pmap)
+    if retrained:
+        accepted = ddbn.retrain_quantized(accepted, pmap, X, np.eye(10)[y],
+                                          TrainConfig(epochs=1, batch_size=10))
+    evaluator = CandidateEvaluator(accepted, X, y)
+    for count, cut, class_cut in cuts:
+        pmap_next = _cut(pmap, rng, count, cut)
+        if class_cut:
+            pmap_next.class_frac_bits = max(0, pmap.class_frac_bits - 1)
+        expected = accepted.apply_precision(pmap_next)
+        evaluator.accuracy(pmap_next)
+        evaluator.accept()
+        accepted, pmap = evaluator.model, pmap_next
+        assert accepted.precision.class_frac_bits == pmap.class_frac_bits
+        assert all(map(np.array_equal, accepted.precision.hidden_frac_bits,
+                       pmap.hidden_frac_bits))
+        for got, want in zip(_parameters(accepted), _parameters(expected)):
+            assert got.tobytes() == want.tobytes()
