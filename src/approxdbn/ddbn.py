@@ -22,6 +22,7 @@ from .fixedpoint import FixedPointFormat, quantize_all, quantize_grid
 MODEL_MAGIC = b"ADBN"
 MODEL_VERSION = 1
 _CHUNK = 2048  # rows per propagation step: mean_field_probs, classify, criticality
+_BLOCK = 256  # rows per step of a layer-0 recompute and of an early-stopping walk
 MOMENTUM = 0.5  # CD velocity decay
 
 
@@ -474,7 +475,8 @@ class CandidateEvaluator:
     neuron budgets; ``accept`` commits the last one. A candidate requantizes only
     the columns whose budget changed, and the layer-0 activations ``a0`` are kept
     and recomputed only in the layer-0 columns a map changes, as exact float64
-    sums (``_exact``); else it calls ``evaluate_accuracy``."""
+    sums (``_exact``); else it calls ``evaluate_accuracy``. Under a threshold, the
+    walk takes the rows hardest first, ``_BLOCK`` at a time, and stops once it fails."""
 
     def __init__(self, model, images, labels):
         self.images = np.asarray(images, dtype=np.float64)
@@ -485,19 +487,38 @@ class CandidateEvaluator:
             # the accepted model on its grid; the identity if it already is
             model = model.apply_precision(model.precision)
         self.model, self.a0 = model, None
+        self.probs = self._order = self._pending = None
         if self._exact(model):
-            self.a0 = self._layer0(model, slice(None))
+            self.a0 = self._layer0(model, self.images, slice(None))
 
-    def _exact(self, model):
+    def _exact(self, model, layers=1):
+        """Whether the sums of the layers below ``layers`` (hidden, then class) are exact
+        in float64, so no row's result depends on the rows sharing its step: Q0.a inputs
+        (images: 0) times Qm.b weights need m + a + b + ceil(log2 fan-in) <= 53."""
         pmap = model.precision
-        return (self.binary and pmap is not None
-                and pmap.weight_int_bits + int(pmap.hidden_frac_bits[0].max())
-                + math.ceil(math.log2(model.layer_sizes[0])) <= 53)
+        if not self.binary or pmap is None:
+            return False
+        b = [int(bits.max()) for bits in pmap.hidden_frac_bits[:layers]]
+        b.append(pmap.class_frac_bits)
+        a = [0] + [pmap.activation_format(n).frac_bits for n in b[:layers - 1]]
+        log_fan_in = [math.ceil(math.log2(size)) for size in model.layer_sizes[:layers]]
+        return all(pmap.weight_int_bits + sum(t) <= 53 for t in zip(a, b, log_fan_in))
 
-    def _layer0(self, model, cols):
+    @staticmethod
+    def _layer0(model, images, cols):
         # exact sums: short row steps change no value and keep temporaries small
-        return np.concatenate([model.hidden_probs(0, self.images[s:s + _CHUNK // 8], cols)
-                               for s in range(0, len(self.images), _CHUNK // 8)])
+        return np.concatenate([model.hidden_probs(0, images[s:s + _BLOCK], cols)
+                               for s in range(0, len(images), _BLOCK)])
+
+    def _hardest_first(self):
+        """The accepted model's errors, then its correct rows by ascending margin."""
+        if self._order is None:
+            if self.probs is None:
+                self.probs = self.model.mean_field_probs(self.a0, first=1)
+            p, truth = self.probs, np.eye(self.probs.shape[1], dtype=bool)[self.labels]
+            margin = p[truth] - np.where(truth, -np.inf, p).max(axis=1)
+            self._order = np.lexsort((margin, p.argmax(axis=1) == self.labels))
+        return self._order
 
     def _candidate(self, pmap):
         """The accepted model under ``pmap`` and the neurons of each layer whose
@@ -517,22 +538,45 @@ class CandidateEvaluator:
                 _requantize_layer(candidate, layer, cols)
         return candidate, changed
 
-    def accuracy(self, pmap):
-        """Accuracy of the accepted model under ``pmap``, a candidate that
-        ``accept`` then commits."""
+    def accuracy(self, pmap, threshold=None):
+        """Accuracy of the accepted model under ``pmap``, a candidate that ``accept``
+        then commits. Below a ``threshold`` it may return an upper bound, also below
+        it, and leave nothing to accept."""
         self._pending = None  # frees a rejected candidate before the next
         candidate, changed = self._candidate(pmap)
-        self._pending = (candidate, None)
         if self.a0 is None or changed is None or not self._exact(candidate):
+            self._pending = (candidate, None, None, None)
             return evaluate_accuracy(candidate, self.images, self.labels)
-        a0 = self.a0.copy()
-        a0[:, changed[0]] = self._layer0(candidate, changed[0])
-        self._pending = (candidate, a0)
-        probs = candidate.mean_field_probs(a0, first=1)
-        return int((np.argmax(probs, axis=1) == self.labels).sum()) / len(a0)
+        n, cols, errors = len(self.labels), changed[0], 0
+        if threshold is None or not self._exact(candidate, len(candidate.layer_sizes) - 1):
+            # classify's row steps, in file order, to the end
+            blocks = [slice(s, s + _CHUNK) for s in range(0, n, _CHUNK)]
+            threshold = -math.inf
+        else:
+            order = self._hardest_first()
+            blocks = [order[s:s + _BLOCK] for s in range(0, n, _BLOCK)]
+        a0_cols, probs = np.empty((n, len(cols))), np.empty((n, candidate.layer_sizes[-1]))
+        for rows in blocks:  # slices, or gathers: no permuted copy of the images
+            block = np.array(self.a0[rows])  # a copy, of a slice too
+            a0_cols[rows] = self._layer0(candidate, self.images[rows], cols)
+            block[:, cols] = a0_cols[rows]
+            probs[rows] = candidate.mean_field_probs(block, first=1)
+            errors += int((np.argmax(probs[rows], axis=1) != self.labels[rows]).sum())
+            if (n - errors) / n < threshold:  # Phase 2's test, whatever the rest give
+                return (n - errors) / n
+        self._pending = (candidate, cols, a0_cols, probs)
+        return (n - errors) / n
 
     def accept(self):
-        self.model, self.a0 = self._pending
+        """Commit the candidate of the last ``accuracy`` call, if evaluated in full."""
+        if self._pending is None:
+            raise ValueError("no fully evaluated candidate to accept")
+        self.model, cols, a0_cols, self.probs = self._pending
+        self._pending = self._order = None
+        if cols is None:
+            self.a0 = None
+        else:
+            self.a0[:, cols] = a0_cols
 
 
 # ---- serialization -----------------------------------------------------

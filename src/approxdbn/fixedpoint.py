@@ -52,11 +52,6 @@ class FixedPointFormat:
         return 2.0 ** self.int_bits - self.step
 
 
-def quantize(x: float, fmt: FixedPointFormat) -> float:
-    """Scalar :func:`quantize_all`."""
-    return float(quantize_all(x, fmt))
-
-
 def quantize_all(values: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
     """Saturate each value into the format's range, then round to the
     nearest multiple of 2^-n with ties away from zero; preserves shape."""

@@ -160,7 +160,7 @@ def phase2_greedy(model, config, train_images, train_one_hot,
                 if pmap_next is None:
                     break
                 pmap.check_monotone_update(pmap_next)
-                acc = evaluator.accuracy(pmap_next)
+                acc = evaluator.accuracy(pmap_next, threshold)
                 if acc < threshold:
                     break
                 evaluator.accept()

@@ -1,10 +1,11 @@
 """``tools/compare_outputs.py`` on a tiny version of a benchmark workload:
 a tree compared with itself shows no difference, and a tree whose output
-changes by one byte is caught."""
+changes by one byte is caught, for one seed or several in one call."""
 
 import dataclasses
 import importlib.util
 import shutil
+import types
 from pathlib import Path
 
 import pytest
@@ -31,12 +32,30 @@ def test_tree_matches_itself(tool, tmp_path):
     assert tool.compare(ROOT, ROOT, _tiny(tool), 1, tmp_path) == []
 
 
-def test_changed_output_is_caught(tool, tmp_path):
-    changed = tmp_path / "changed"
-    shutil.copytree(ROOT / "src", changed / "src",
+def _changed_tree(path):
+    shutil.copytree(ROOT / "src", path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    cli = changed / "src" / "approxdbn" / "cli.py"
+    cli = path / "src" / "approxdbn" / "cli.py"
     cli.write_text(cli.read_text().replace('print(f"wrote {len(curves)}',
                                            'print(f"Wrote {len(curves)}'))
+    return path
+
+
+def test_changed_output_is_caught(tool, tmp_path):
+    changed = _changed_tree(tmp_path / "changed")
     diffs = tool.compare(ROOT, changed, _tiny(tool), 1, tmp_path / "work")
     assert len(diffs) == 1 and diffs[0].startswith("differs: stdout:curve ")
+
+
+def test_several_seeds(tool, tmp_path, monkeypatch, capsys):
+    real = tool.load_workloads()
+    tiny = types.SimpleNamespace(WORKLOADS={"retrain": _tiny(tool)}, Inputs=real.Inputs)
+    monkeypatch.setattr(tool, "load_workloads", lambda: tiny)
+    argv = ["--workload", "retrain", "--seed", "1", "7"]
+    assert tool.main([str(ROOT), str(ROOT), *argv]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "retrain seed 1: identical", "retrain seed 7: identical"]
+    assert tool.main([str(ROOT), str(_changed_tree(tmp_path / "changed")), *argv]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if " seed " in line] == [
+        "retrain seed 1: 1 problems", "retrain seed 7: 1 problems"]

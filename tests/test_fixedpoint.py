@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from approxdbn.ddbn import PrecisionMap, _quantize_columns
-from approxdbn.fixedpoint import FixedPointFormat, quantize, quantize_all, quantize_grid
+from approxdbn.fixedpoint import FixedPointFormat, quantize_all, quantize_grid
 
 from conftest import brute_force_quantize, representable_values, small_formats
 
@@ -36,27 +36,27 @@ class TestFormat:
 
 class TestQuantize:
     def test_nearest_on_grid(self):
-        assert quantize(0.3, Q8_8) == 77 / 256
+        assert float(quantize_all(0.3, Q8_8)) == 77 / 256
 
     def test_zero_in_every_format(self):
         for fmt in small_formats():
-            assert quantize(0.0, fmt) == 0.0
+            assert float(quantize_all(0.0, fmt)) == 0.0
 
     def test_saturation(self):
-        assert quantize(200.0, Q8_8) == 127.99609375
-        assert quantize(-200.0, Q8_8) == -128.0
+        assert float(quantize_all(200.0, Q8_8)) == 127.99609375
+        assert float(quantize_all(-200.0, Q8_8)) == -128.0
 
     def test_unsigned_rounding(self):
-        assert quantize(0.7, FixedPointFormat(False, 0, 2)) == 0.75
+        assert float(quantize_all(0.7, FixedPointFormat(False, 0, 2))) == 0.75
 
     def test_zero_bit_format(self):
-        assert quantize(123.456, FixedPointFormat(False, 0, 0)) == 0.0
+        assert float(quantize_all(123.456, FixedPointFormat(False, 0, 0))) == 0.0
 
     def test_tie_rounds_away_from_zero(self):
         f = FixedPointFormat(False, 0, 1)
-        assert quantize(0.25, f) == 0.5
+        assert float(quantize_all(0.25, f)) == 0.5
         s = FixedPointFormat(True, 1, 1)
-        assert quantize(-0.25, s) == -0.5
+        assert float(quantize_all(-0.25, s)) == -0.5
 
 
 class TestQuantizeAll:
@@ -89,23 +89,23 @@ def formats(draw, max_total=16):
 class TestProperties:
     @given(formats(), st.floats(-1e6, 1e6))
     def test_idempotent(self, fmt, x):
-        q = quantize(x, fmt)
-        assert quantize(q, fmt) == q
+        q = float(quantize_all(x, fmt))
+        assert float(quantize_all(q, fmt)) == q
 
     @given(formats(), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
     def test_monotone(self, fmt, x, y):
         if x > y:
             x, y = y, x
-        assert quantize(x, fmt) <= quantize(y, fmt)
+        assert float(quantize_all(x, fmt)) <= float(quantize_all(y, fmt))
 
     @given(formats(), st.floats(-1e6, 1e6))
     def test_bounded_error(self, fmt, x):
         clamped = min(max(x, fmt.min_value), fmt.max_value)
-        assert abs(quantize(x, fmt) - clamped) <= 2.0 ** -(fmt.frac_bits + 1)
+        assert abs(float(quantize_all(x, fmt)) - clamped) <= 2.0 ** -(fmt.frac_bits + 1)
 
     @given(formats(max_total=12), st.floats(-1e6, 1e6))
     def test_result_on_grid(self, fmt, x):
-        q = quantize(x, fmt)
+        q = float(quantize_all(x, fmt))
         assert q == np.round(q * 2.0 ** fmt.frac_bits) / 2.0 ** fmt.frac_bits
         assert fmt.min_value <= q <= fmt.max_value
 
@@ -115,7 +115,7 @@ class TestProperties:
         fmt = FixedPointFormat(True, m, n)
         if abs(x) >= min(-fmt.min_value, fmt.max_value):
             return  # only claimed strictly inside the range
-        assert quantize(-x, fmt) == -quantize(x, fmt)
+        assert float(quantize_all(-x, fmt)) == -float(quantize_all(x, fmt))
 
 
 def test_exhaustive_oracle_small_formats():
@@ -148,13 +148,14 @@ def test_quantize_all_bytes_match_oracle_small_formats():
 
 
 def test_scalar_signed_zeros():
-    assert np.float64(quantize(-0.0, Q8_8)).tobytes() == np.float64(0.0).tobytes()
-    assert np.float64(quantize(-2.0 ** -10, Q8_8)).tobytes() == np.float64(0.0).tobytes()
-    assert np.float64(quantize(-2.0 ** -10, FixedPointFormat(False, 0, 8))).tobytes() \
-        == np.float64(0.0).tobytes()
+    zero = np.float64(0.0).tobytes()
+    assert np.float64(float(quantize_all(-0.0, Q8_8))).tobytes() == zero
+    assert np.float64(float(quantize_all(-2.0 ** -10, Q8_8))).tobytes() == zero
+    unsigned = FixedPointFormat(False, 0, 8)
+    assert np.float64(float(quantize_all(-2.0 ** -10, unsigned))).tobytes() == zero
     zero_bit = FixedPointFormat(True, 0, 0)
     for x in (np.nan, -np.inf, -0.0, -3.0):
-        assert np.float64(quantize(x, zero_bit)).tobytes() == np.float64(0.0).tobytes()
+        assert np.float64(float(quantize_all(x, zero_bit))).tobytes() == zero
 
 
 @pytest.mark.parametrize("activation_frac_bits", [0, 64])

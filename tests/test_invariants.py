@@ -287,6 +287,110 @@ def test_candidate_evaluator_fallback(monkeypatch, case, fast):
     assert (evaluator.a0 is not None, len(calls)) == ((True, 0) if fast else (False, 2))
 
 
+def _hopeless_case(activation_frac_bits=0, n=600):
+    """An accepted model, ``n`` rows with random labels, and a map that cuts
+    the top hidden layer's budgets to 0, whose constant prediction misses
+    most rows."""
+    rng = np.random.default_rng(8)
+    hidden = [8, 6]
+    model = _random_model([16, *hidden, 10], rng)
+    X = (rng.random((n, 16)) > 0.5).astype(float)
+    pmap = PrecisionMap.uniform(hidden, 6, activation_frac_bits)
+    accepted = model.apply_precision(pmap)
+    hopeless = pmap.copy()
+    hopeless.hidden_frac_bits[-1][:] = 0
+    return accepted, hopeless, X, rng.integers(0, 10, n)
+
+
+@pytest.mark.parametrize("activation_frac_bits,early", [
+    (0, True),
+    (64, False),   # Q0.64 activations: layer 1's sums are not exact in float64
+])
+def test_early_rejection_rows_walked(monkeypatch, activation_frac_bits, early):
+    """Under a threshold, a hopeless candidate stops before the last row; with
+    no threshold, or when deeper layers' sums are not exact, it walks every
+    row and returns the exact accuracy."""
+    accepted, hopeless, X, y = _hopeless_case(activation_frac_bits)
+    exact = evaluate_accuracy(accepted.apply_precision(hopeless), X, y)
+    evaluator = CandidateEvaluator(accepted, X, y)
+    walked, hidden_probs = [], DdbnModel.hidden_probs
+
+    def counting(model, layer, v, cols=slice(None)):
+        if layer == 1 and model is not evaluator.model:  # the candidate's rows
+            walked.append(len(v))
+        return hidden_probs(model, layer, v, cols)
+
+    monkeypatch.setattr(DdbnModel, "hidden_probs", counting)
+    monkeypatch.setattr(ddbn, "evaluate_accuracy", None)  # no full-pass fallback
+    acc = evaluator.accuracy(hopeless, 0.9)
+    assert exact < 0.9 and acc < 0.9 and acc >= exact
+    assert (sum(walked) < len(X)) == early and evaluator.a0 is not None
+    if not early:
+        assert acc == exact
+    walked.clear()
+    assert evaluator.accuracy(hopeless) == exact and sum(walked) == len(X)
+
+
+def test_accept_needs_a_fully_evaluated_candidate():
+    accepted, hopeless, X, y = _hopeless_case()
+    evaluator = CandidateEvaluator(accepted, X, y)
+    with pytest.raises(ValueError, match="no fully evaluated candidate"):
+        evaluator.accept()
+    assert evaluator.accuracy(hopeless, 0.9) < 0.9
+    with pytest.raises(ValueError, match="no fully evaluated candidate"):
+        evaluator.accept()
+    assert evaluator.a0.tobytes() == evaluator.model.hidden_probs(0, X).tobytes()
+    assert evaluator.accuracy(hopeless, 0.0) < 0.9
+    evaluator.accept()
+    assert evaluator.model.precision.total_hidden_bits() == 8 * 6
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 16),
+       hidden=st.lists(st.integers(2, 8), min_size=1, max_size=3),
+       frac_bits=st.integers(1, 8),
+       steps=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 8),
+                                st.integers(-3, 3),
+                                st.sampled_from(["exact", "above", "below", "uniform"]),
+                                st.booleans()), min_size=1, max_size=8))
+def test_early_rejection_matches_full_evaluation(seed, hidden, frac_bits, steps):
+    """Along random cuts and thresholds (c / N exactly, one ulp either side,
+    or uniform), the evaluator's accuracy reaches the threshold exactly when
+    the full evaluation does, and then equals it; a rejection that stopped
+    early cannot be accepted, and each accepted model byte-equals
+    ``apply_precision`` of the previous one."""
+    rng = np.random.default_rng(seed)
+    model = _random_model([16, *hidden, 10], rng)
+    X = (rng.random((600, 16)) > 0.5).astype(float)
+    pmap = PrecisionMap.uniform(hidden, frac_bits)
+    accepted = model.apply_precision(pmap)
+    # labels the accepted model mostly gets right, so that thresholds near
+    # a candidate's accuracy keep some candidates
+    y = np.where(rng.random(len(X)) < 0.8, accepted.classify(X)[0],
+                 rng.integers(0, 10, len(X)))
+    evaluator = CandidateEvaluator(accepted, X, y)
+    for count, cut, delta, kind, accept in steps:
+        pmap_next = _cut(pmap, rng, count, cut)
+        expected = accepted.apply_precision(pmap_next)
+        full = evaluate_accuracy(expected, X, y)
+        t = (round(full * len(X)) + delta) / len(X)
+        t = {"exact": t, "above": np.nextafter(t, 1.0), "below": np.nextafter(t, 0.0),
+             "uniform": rng.random()}[kind]
+        acc = evaluator.accuracy(pmap_next, t)
+        assert (acc >= t) == (full >= t)
+        if acc >= t:
+            assert acc == full
+        else:
+            with pytest.raises(ValueError):
+                evaluator.accept()
+        if accept and acc >= t:
+            evaluator.accept()
+            accepted, pmap = evaluator.model, pmap_next
+            for got, want in zip(_parameters(accepted), _parameters(expected)):
+                assert got.tobytes() == want.tobytes()
+        assert evaluator.a0.tobytes() == evaluator.model.hidden_probs(0, X).tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 16),
        hidden=st.lists(st.integers(2, 8), min_size=1, max_size=3),

@@ -2,7 +2,7 @@
 
 Usage (from anywhere):
 
-    python3 tools/compare_outputs.py TREE_A TREE_B --workload retrain|sweep --seed N
+    python3 tools/compare_outputs.py TREE_A TREE_B --workload retrain|sweep --seed N [N ...]
 
 Generates the inputs of ``perfbench/workloads.py``'s workload for the
 seed, then runs the CLI commands with each tree's ``src/`` (BLAS pinned
@@ -12,8 +12,8 @@ other inference mode. Both trees write to the same output directory,
 one after the other, since some commands print that path. It hashes
 every file the commands write, except ``config_echo.json`` (it names the
 input paths), plus each command's standard output and exit code. It
-prints every difference and every command that did not exit 0, and
-exits 1 if there is one, else 0.
+prints every difference and every command that did not exit 0, seed by
+seed, and exits 1 if there is one for any seed, else 0.
 """
 
 import argparse
@@ -109,17 +109,19 @@ def main(argv=None):
     parser.add_argument("tree_a")
     parser.add_argument("tree_b")
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int, nargs="+", required=True)
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as work:
-        diffs = compare(args.tree_a, args.tree_b, workloads.WORKLOADS[args.workload],
-                        args.seed, work)
-    for line in diffs:
-        print(line)
-    print(f"{args.workload} seed {args.seed}: "
-          f"{'identical' if not diffs else f'{len(diffs)} problems'}")
-    return 1 if diffs else 0
-
+    failed = False
+    for seed in args.seed:
+        with tempfile.TemporaryDirectory() as work:
+            diffs = compare(args.tree_a, args.tree_b, workloads.WORKLOADS[args.workload],
+                            seed, work)
+        for line in diffs:
+            print(line)
+        print(f"{args.workload} seed {seed}: "
+              f"{'identical' if not diffs else f'{len(diffs)} problems'}")
+        failed = failed or bool(diffs)
+    return 1 if failed else 0
 
 if __name__ == "__main__":
     sys.exit(main())
