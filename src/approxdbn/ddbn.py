@@ -22,7 +22,7 @@ from .fixedpoint import FixedPointFormat, quantize_all, quantize_grid
 MODEL_MAGIC = b"ADBN"
 MODEL_VERSION = 1
 _CHUNK = 2048  # rows per propagation step: mean_field_probs, classify, criticality
-_BLOCK = 256  # rows per step of a layer-0 recompute and of an early-stopping walk
+_BLOCK = 256  # rows per step of an early-stopping walk
 MOMENTUM = 0.5  # CD velocity decay
 
 
@@ -176,8 +176,16 @@ class DdbnModel:
         """Activation probabilities of hidden layer ``layer``'s neurons
         ``cols`` (default all) given the previous layer's values; applies
         the attached precision map to pre-activations and activations."""
+        return self.activation(layer, self.pre_activation(layer, v, cols), cols)
+
+    def pre_activation(self, layer, v, cols=slice(None)):
+        """``v @ W + b`` of hidden layer ``layer``'s neurons ``cols``, unquantized."""
         v = as_inputs(v, self.layer_sizes[layer], f"layer {layer}")
-        z = v @ self.weights[layer][:, cols] + self.hidden_biases[layer][cols]
+        return v @ self.weights[layer][:, cols] + self.hidden_biases[layer][cols]
+
+    def activation(self, layer, z, cols=slice(None)):
+        """Sigmoid of the pre-activations ``z`` of hidden layer ``layer``'s
+        neurons ``cols``, each quantized under its neuron's budget."""
         pmap = self.precision
         if pmap is None:
             return sigmoid(z)
@@ -308,11 +316,12 @@ def _requantized(arr, bits, pmap, cols):
     return out
 
 
-def _requantize_layer(model, layer, cols=slice(None)):
+def _requantize_layer(model, layer, cols=slice(None), rows=slice(None)):
     """Requantize the RBM under hidden layer ``layer`` into new arrays: the
-    weight and hidden-bias columns of its neurons ``cols`` (default all) and
-    its visible bias. With no column in ``cols``, the weights and hidden
-    bias stay shared."""
+    weight and hidden-bias columns of its neurons ``cols`` and its visible-bias
+    entries ``rows`` (default all of both; None: none). ``rows`` selects entries
+    only above layer 0: layer 0's visible bias follows the one global budget and
+    is requantized whole. An array with nothing to requantize stays shared."""
     pmap = model.precision
     if pmap is None:
         return
@@ -322,9 +331,10 @@ def _requantize_layer(model, layer, cols=slice(None)):
         model.hidden_biases[layer] = _requantized(model.hidden_biases[layer], bits,
                                                   pmap, cols)
     vb = model.visible_biases[layer]
-    model.visible_biases[layer] = (
-        quantize_all(vb, pmap.weight_format(pmap.global_frac_bits)) if layer == 0
-        else _quantize_columns(vb, pmap.hidden_frac_bits[layer - 1], pmap))
+    if rows is not None:
+        model.visible_biases[layer] = (
+            quantize_all(vb, pmap.weight_format(pmap.global_frac_bits)) if layer == 0
+            else _requantized(vb, pmap.hidden_frac_bits[layer - 1], pmap, rows))
 
 
 def _requantize_class(model):
@@ -473,10 +483,14 @@ def confusion_counts(model, images, labels, mode="mean_field",
 class CandidateEvaluator:
     """Mean-field accuracy of the accepted ``model`` under maps that change a few
     neuron budgets; ``accept`` commits the last one. A candidate requantizes only
-    the columns whose budget changed, and the layer-0 activations ``a0`` are kept
-    and recomputed only in the layer-0 columns a map changes, as exact float64
-    sums (``_exact``); else it calls ``evaluate_accuracy``. Under a threshold, the
-    walk takes the rows hardest first, ``_BLOCK`` at a time, and stops once it fails."""
+    the columns whose budget changed. For the lowest hidden layers whose sums
+    float64 adds exactly (``_exact``), the accepted model's activations ``a[l]`` and,
+    above layer 0, pre-activations ``z[l]`` are kept: a candidate recomputes its
+    lowest changed layer's changed columns, adds their change to the next layer's
+    ``z`` and walks the layers above in full. With no exact layer 0, or a map that
+    differs in more than the hidden budgets, it calls ``evaluate_accuracy``. Under a
+    threshold, the walk takes the rows hardest first, ``_BLOCK`` at a time, and
+    stops once it fails."""
 
     def __init__(self, model, images, labels):
         self.images = np.asarray(images, dtype=np.float64)
@@ -486,35 +500,32 @@ class CandidateEvaluator:
             # candidates requantize only the columns they change, which needs
             # the accepted model on its grid; the identity if it already is
             model = model.apply_precision(model.precision)
-        self.model, self.a0 = model, None
+        self.model, self.a, self.z = model, [], []
         self.probs = self._order = self._pending = None
-        if self._exact(model):
-            self.a0 = self._layer0(model, self.images, slice(None))
+        for layer in range(min(self._exact(model), model.num_hidden_layers)):
+            z = model.pre_activation(layer, self.a[-1] if layer else self.images)
+            self.z.append(z if layer else None)  # layer 0's inputs never change
+            self.a.append(model.activation(layer, z))
 
-    def _exact(self, model, layers=1):
-        """Whether the sums of the layers below ``layers`` (hidden, then class) are exact
-        in float64, so no row's result depends on the rows sharing its step: Q0.a inputs
-        (images: 0) times Qm.b weights need m + a + b + ceil(log2 fan-in) <= 53."""
+    def _exact(self, model):
+        """How many of the lowest layers (hidden, then class) have sums that float64
+        adds exactly, so that no row's result depends on the rows sharing its step:
+        Q0.a inputs (images: 0) times Qm.b weights need m + a + b + ceil(log2 fan-in)
+        <= 53."""
         pmap = model.precision
         if not self.binary or pmap is None:
-            return False
-        b = [int(bits.max()) for bits in pmap.hidden_frac_bits[:layers]]
-        b.append(pmap.class_frac_bits)
-        a = [0] + [pmap.activation_format(n).frac_bits for n in b[:layers - 1]]
-        log_fan_in = [math.ceil(math.log2(size)) for size in model.layer_sizes[:layers]]
-        return all(pmap.weight_int_bits + sum(t) <= 53 for t in zip(a, b, log_fan_in))
-
-    @staticmethod
-    def _layer0(model, images, cols):
-        # exact sums: short row steps change no value and keep temporaries small
-        return np.concatenate([model.hidden_probs(0, images[s:s + _BLOCK], cols)
-                               for s in range(0, len(images), _BLOCK)])
+            return 0
+        b = [int(bits.max()) for bits in pmap.hidden_frac_bits] + [pmap.class_frac_bits]
+        a = [0] + [pmap.activation_format(n).frac_bits for n in b[:-1]]
+        fits = [pmap.weight_int_bits + a_in + b_w + math.ceil(math.log2(size)) <= 53
+                for a_in, b_w, size in zip(a, b, model.layer_sizes)]
+        return (fits + [False]).index(False)
 
     def _hardest_first(self):
         """The accepted model's errors, then its correct rows by ascending margin."""
         if self._order is None:
             if self.probs is None:
-                self.probs = self.model.mean_field_probs(self.a0, first=1)
+                self.probs = self.model.mean_field_probs(self.a[-1], first=len(self.a))
             p, truth = self.probs, np.eye(self.probs.shape[1], dtype=bool)[self.labels]
             margin = p[truth] - np.where(truth, -np.inf, p).max(axis=1)
             self._order = np.lexsort((margin, p.argmax(axis=1) == self.labels))
@@ -533,10 +544,34 @@ class CandidateEvaluator:
                    in zip(pmap.hidden_frac_bits, old.hidden_frac_bits)]
         candidate = self.model._sharing_arrays(pmap)
         for layer, cols in enumerate(changed):
-            # layer - 1's neurons govern this RBM's visible bias
-            if len(cols) or (layer and len(changed[layer - 1])):
-                _requantize_layer(candidate, layer, cols)
+            # layer - 1's neurons govern this RBM's visible bias; the global
+            # budget, which stays, governs layer 0's
+            rows = changed[layer - 1] if layer and len(changed[layer - 1]) else None
+            if len(cols) or rows is not None:
+                _requantize_layer(candidate, layer, cols, rows)
         return candidate, changed
+
+    def _recompute(self, candidate, changed, f, p, rows, new):
+        """The candidate's layer p - 1 activations on ``rows``, from layer ``f`` up:
+        f's changed columns, layer f + 1 by the change in f, the rest in full. Writes
+        each layer's z and a (layer f: its changed columns) into ``new``."""
+        cols, below = changed[f], self.a[f - 1] if f else self.images
+        z = candidate.pre_activation(f, below[rows], cols)
+        a = candidate.activation(f, z, cols)
+        new[0][0][rows], new[0][1][rows] = z, a
+        v = np.array(self.a[f][rows])  # a copy, of a slice too
+        delta = a - v[:, cols]
+        v[:, cols] = a
+        for layer in range(f + 1, p):
+            if layer == f + 1:  # exact sums: the change in f, times the weights it met
+                z = self.z[layer][rows] + delta @ self.model.weights[layer][cols]
+                if len(own := changed[layer]):
+                    z[:, own] = candidate.pre_activation(layer, v, own)
+            else:
+                z = candidate.pre_activation(layer, v)
+            v = candidate.activation(layer, z)
+            new[layer - f][0][rows], new[layer - f][1][rows] = z, v
+        return v
 
     def accuracy(self, pmap, threshold=None):
         """Accuracy of the accepted model under ``pmap``, a candidate that ``accept``
@@ -544,39 +579,51 @@ class CandidateEvaluator:
         it, and leave nothing to accept."""
         self._pending = None  # frees a rejected candidate before the next
         candidate, changed = self._candidate(pmap)
-        if self.a0 is None or changed is None or not self._exact(candidate):
-            self._pending = (candidate, None, None, None)
+        exact = self._exact(candidate)
+        p = min(exact, len(self.a))  # cached layers whose sums stay exact
+        if changed is None or not p:
+            self._pending = (candidate, None, None)
             return evaluate_accuracy(candidate, self.images, self.labels)
-        n, cols, errors = len(self.labels), changed[0], 0
-        if threshold is None or not self._exact(candidate, len(candidate.layer_sizes) - 1):
+        n, errors = len(self.labels), 0
+        if threshold is None or exact <= len(changed):  # some layer is not exact
             # classify's row steps, in file order, to the end
             blocks = [slice(s, s + _CHUNK) for s in range(0, n, _CHUNK)]
             threshold = -math.inf
         else:
             order = self._hardest_first()
             blocks = [order[s:s + _BLOCK] for s in range(0, n, _BLOCK)]
-        a0_cols, probs = np.empty((n, len(cols))), np.empty((n, candidate.layer_sizes[-1]))
+        f = next((layer for layer in range(p) if len(changed[layer])), p)
+        widths = [len(changed[f])] + candidate.layer_sizes[f + 2:p + 1] if f < p else []
+        new = [(np.empty((n, k)), np.empty((n, k))) for k in widths]
+        probs = np.empty((n, candidate.layer_sizes[-1]))
         for rows in blocks:  # slices, or gathers: no permuted copy of the images
-            block = np.array(self.a0[rows])  # a copy, of a slice too
-            a0_cols[rows] = self._layer0(candidate, self.images[rows], cols)
-            block[:, cols] = a0_cols[rows]
-            probs[rows] = candidate.mean_field_probs(block, first=1)
+            v = (self._recompute(candidate, changed, f, p, rows, new) if f < p
+                 else self.a[p - 1][rows])
+            probs[rows] = candidate.mean_field_probs(v, first=p)
             errors += int((np.argmax(probs[rows], axis=1) != self.labels[rows]).sum())
             if (n - errors) / n < threshold:  # Phase 2's test, whatever the rest give
                 return (n - errors) / n
-        self._pending = (candidate, cols, a0_cols, probs)
+        self._pending = (candidate, (p, f, changed[f] if f < p else None, new), probs)
         return (n - errors) / n
 
     def accept(self):
         """Commit the candidate of the last ``accuracy`` call, if evaluated in full."""
         if self._pending is None:
             raise ValueError("no fully evaluated candidate to accept")
-        self.model, cols, a0_cols, self.probs = self._pending
+        self.model, update, self.probs = self._pending
         self._pending = self._order = None
-        if cols is None:
-            self.a0 = None
-        else:
-            self.a0[:, cols] = a0_cols
+        if update is None:  # evaluated by evaluate_accuracy: nothing cached
+            self.a, self.z = [], []
+            return
+        p, f, cols, new = update
+        del self.a[p:], self.z[p:]
+        for layer, (z, a) in enumerate(new, start=f):
+            if layer > f:
+                self.z[layer], self.a[layer] = z, a
+            else:  # layer f: its changed columns
+                self.a[f][:, cols] = a
+                if f:
+                    self.z[f][:, cols] = z
 
 
 # ---- serialization -----------------------------------------------------

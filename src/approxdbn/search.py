@@ -174,13 +174,16 @@ def phase2_greedy(model, config, train_images, train_one_hot,
                 train_config, epochs=config.retrain_epochs,
                 learning_rate=RETRAIN_LEARNING_RATE,
                 seed=train_config.seed + iteration)
-            retrained = retrain_quantized(current, pmap, train_images,
-                                          train_one_hot, retrain_config)
-            acc = evaluate_accuracy(retrained, val_images, val_labels)
+            retrained_eval = CandidateEvaluator(
+                retrain_quantized(current, pmap, train_images, train_one_hot,
+                                  retrain_config), val_images, val_labels)
+            # the unchanged map: each model's own accuracy, from its evaluator
+            acc = retrained_eval.accuracy(pmap)
             if acc >= threshold:
-                evaluator = CandidateEvaluator(retrained, val_images, val_labels)
+                retrained_eval.accept()
+                evaluator = retrained_eval
             else:  # keep pre-retrain parameters
-                acc = evaluate_accuracy(current, val_images, val_labels)
+                acc = evaluator.accuracy(pmap)
             trace.append(TraceRecord("phase2", iteration, "retrain",
                                      acc / baseline_acc,
                                      pmap.total_hidden_bits()))

@@ -182,12 +182,12 @@ def _random_model(layer_sizes, rng):
     return model
 
 
-def _cut(pmap, rng, count, cut):
+def _cut(pmap, rng, count, cut, lowest=0):
     """``pmap`` with ``cut`` bits taken off ``count`` random neurons of any
-    layer, down to 0 (pruned)."""
+    layer from ``lowest`` up, down to 0 (pruned)."""
     new = pmap.copy()
     pooled = [(layer, idx) for layer, bits in enumerate(new.hidden_frac_bits)
-              for idx in range(len(bits))]
+              for idx in range(len(bits)) if layer >= lowest]
     for k in rng.choice(len(pooled), min(count, len(pooled)), replace=False):
         layer, idx = pooled[k]
         bits = new.hidden_frac_bits[layer]
@@ -222,8 +222,9 @@ def test_candidate_evaluator_matches_classify(seed, hidden, frac_bits, steps):
             evaluator.accept()
             pmap, current = pmap_next, evaluator.model
         assert evaluator.model is current
-        assert evaluator.a0.tobytes() == current.hidden_probs(0, X).tobytes()
-        assert (evaluator.model.mean_field_probs(evaluator.a0, first=1).tobytes()
+        assert evaluator.a[0].tobytes() == current.hidden_probs(0, X).tobytes()
+        top = len(evaluator.a)
+        assert (evaluator.model.mean_field_probs(evaluator.a[-1], first=top).tobytes()
                 == evaluator.model.classify(X)[1].tobytes())
 
 
@@ -273,18 +274,44 @@ def test_candidate_evaluator_fallback(monkeypatch, case, fast):
     y = rng.integers(0, 10, len(X))
     pmap = PrecisionMap.uniform([5, 4], int(case[-2:]) if width == 784 else 6)
     accepted = model if case == "no_map" else model.apply_precision(pmap)
-    calls = []
-    full = ddbn.evaluate_accuracy
+    maps = [_cut(pmap, rng, count, 2) for count in (1, 3)]
+    expected, candidate = [], accepted
+    for pmap_next in maps:
+        candidate = candidate.apply_precision(pmap_next)
+        expected.append(evaluate_accuracy(candidate, X, y))
+    calls, rows = [], {0: 0, 1: 0}
+    full, hidden_probs = ddbn.evaluate_accuracy, DdbnModel.hidden_probs
     monkeypatch.setattr(ddbn, "evaluate_accuracy",
                         lambda *a, **k: calls.append(1) or full(*a, **k))
     evaluator = CandidateEvaluator(accepted, X, y)
-    for count in (1, 3):
-        pmap_next = _cut(pmap, rng, count, 2)
-        candidate = accepted.apply_precision(pmap_next)
-        assert evaluator.accuracy(pmap_next) == full(candidate, X, y)
+
+    def counting(model, layer, v, cols=slice(None)):
+        rows[layer] += len(v)
+        return hidden_probs(model, layer, v, cols)
+
+    monkeypatch.setattr(DdbnModel, "hidden_probs", counting)
+    for pmap_next, acc in zip(maps, expected):
+        assert evaluator.accuracy(pmap_next) == acc
         evaluator.accept()
-        accepted = candidate
-    assert (evaluator.a0 is not None, len(calls)) == ((True, 0) if fast else (False, 2))
+    # budget_35: layer 0 is cached, and layer 1, whose sums are not exact, is
+    # walked in full for each candidate
+    cached = {"binary": 2, "budget_35": 1}.get(case, 0)
+    assert (len(evaluator.a), len(calls)) == ((cached, 0) if fast else (0, 2))
+    if case == "budget_35":
+        assert rows == {0: 0, 1: 2 * len(X)}
+
+
+def _assert_cache_fresh(evaluator, X):
+    """Each cached activation ``a[l]`` and pre-activation ``z[l]`` byte-equals a
+    fresh pass of the accepted model."""
+    model = evaluator.model
+    fresh = model.forward_hidden(X)
+    assert 0 < len(evaluator.a) <= evaluator._exact(model)
+    for layer, a in enumerate(evaluator.a):
+        assert a.tobytes() == fresh[layer].tobytes()
+        if layer:
+            z = fresh[layer - 1] @ model.weights[layer] + model.hidden_biases[layer]
+            assert evaluator.z[layer].tobytes() == z.tobytes()
 
 
 def _hopeless_case(activation_frac_bits=0, n=600):
@@ -313,18 +340,18 @@ def test_early_rejection_rows_walked(monkeypatch, activation_frac_bits, early):
     accepted, hopeless, X, y = _hopeless_case(activation_frac_bits)
     exact = evaluate_accuracy(accepted.apply_precision(hopeless), X, y)
     evaluator = CandidateEvaluator(accepted, X, y)
-    walked, hidden_probs = [], DdbnModel.hidden_probs
+    walked, class_probs = [], DdbnModel.class_probs
 
-    def counting(model, layer, v, cols=slice(None)):
-        if layer == 1 and model is not evaluator.model:  # the candidate's rows
-            walked.append(len(v))
-        return hidden_probs(model, layer, v, cols)
+    def counting(model, h):
+        if model is not evaluator.model:  # the candidate's rows
+            walked.append(len(h))
+        return class_probs(model, h)
 
-    monkeypatch.setattr(DdbnModel, "hidden_probs", counting)
+    monkeypatch.setattr(DdbnModel, "class_probs", counting)
     monkeypatch.setattr(ddbn, "evaluate_accuracy", None)  # no full-pass fallback
     acc = evaluator.accuracy(hopeless, 0.9)
     assert exact < 0.9 and acc < 0.9 and acc >= exact
-    assert (sum(walked) < len(X)) == early and evaluator.a0 is not None
+    assert (sum(walked) < len(X)) == early and len(evaluator.a) == (2 if early else 1)
     if not early:
         assert acc == exact
     walked.clear()
@@ -339,7 +366,7 @@ def test_accept_needs_a_fully_evaluated_candidate():
     assert evaluator.accuracy(hopeless, 0.9) < 0.9
     with pytest.raises(ValueError, match="no fully evaluated candidate"):
         evaluator.accept()
-    assert evaluator.a0.tobytes() == evaluator.model.hidden_probs(0, X).tobytes()
+    _assert_cache_fresh(evaluator, X)
     assert evaluator.accuracy(hopeless, 0.0) < 0.9
     evaluator.accept()
     assert evaluator.model.precision.total_hidden_bits() == 8 * 6
@@ -388,7 +415,7 @@ def test_early_rejection_matches_full_evaluation(seed, hidden, frac_bits, steps)
             accepted, pmap = evaluator.model, pmap_next
             for got, want in zip(_parameters(accepted), _parameters(expected)):
                 assert got.tobytes() == want.tobytes()
-        assert evaluator.a0.tobytes() == evaluator.model.hidden_probs(0, X).tobytes()
+        _assert_cache_fresh(evaluator, X)
 
 
 @settings(max_examples=30, deadline=None)
@@ -427,3 +454,71 @@ def test_candidate_bytes_match_apply_precision(seed, hidden, frac_bits, retraine
                        pmap.hidden_frac_bits))
         for got, want in zip(_parameters(accepted), _parameters(expected)):
             assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16),
+       hidden=st.lists(st.integers(2, 8), min_size=1, max_size=3),
+       frac_bits=st.sampled_from([1, 3, 5, 8, 21, 22, 30]),
+       activation_frac_bits=st.sampled_from([0, 0, 64]),
+       steps=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 8), st.integers(0, 2),
+                                st.sampled_from([None, "uniform", "zero"]),
+                                st.booleans()), min_size=1, max_size=8))
+def test_layer_cache_matches_fresh_pass(seed, hidden, frac_bits, activation_frac_bits,
+                                        steps):
+    """Along random cuts from a random lowest layer up, accepted or rejected,
+    with or without a threshold, and with budgets or activation formats that
+    leave only some layers exact, every cached ``a[l]`` and ``z[l]`` byte-equals
+    a fresh pass of the accepted model, and an accuracy that meets its threshold
+    equals ``evaluate_accuracy``."""
+    rng = np.random.default_rng(seed)
+    model = _random_model([16, *hidden, 10], rng)
+    X = (rng.random((300, 16)) > 0.5).astype(float)
+    pmap = PrecisionMap.uniform(hidden, frac_bits, activation_frac_bits)
+    accepted = model.apply_precision(pmap)
+    y = np.where(rng.random(len(X)) < 0.8, accepted.classify(X)[0],
+                 rng.integers(0, 10, len(X)))
+    evaluator = CandidateEvaluator(accepted, X, y)
+    _assert_cache_fresh(evaluator, X)
+    for count, cut, lowest, kind, accept in steps:
+        pmap_next = _cut(pmap, rng, count, cut, min(lowest, len(hidden) - 1))
+        full = evaluate_accuracy(evaluator.model.apply_precision(pmap_next), X, y)
+        t = {None: None, "uniform": rng.random(), "zero": 0.0}[kind]
+        acc = evaluator.accuracy(pmap_next, t)
+        if t is None or acc >= t:
+            assert acc == full
+        if accept and (t is None or acc >= t):
+            evaluator.accept()
+            pmap = pmap_next
+        _assert_cache_fresh(evaluator, X)
+
+
+def test_top_layer_candidate_recomputes_only_its_columns(monkeypatch):
+    """A candidate that changes only the top hidden layer reads layer 0 from the
+    cache (no ``hidden_probs(0, ...)``) and computes only the changed columns of
+    the top layer, before the class layer."""
+    accepted, _, X, y = _hopeless_case()
+    pmap = accepted.precision.copy()
+    pmap.hidden_frac_bits[-1][[1, 4]] -= 2
+    expected = evaluate_accuracy(accepted.apply_precision(pmap), X, y)
+    evaluator = CandidateEvaluator(accepted, X, y)
+    calls = []
+
+    def spy(name):
+        real = getattr(DdbnModel, name)
+
+        def wrapper(model, layer, v, cols=slice(None)):
+            out = real(model, layer, v, cols)
+            calls.append((name, layer, out.shape[1]))
+            return out
+        return wrapper
+
+    for name in ("hidden_probs", "pre_activation", "activation"):
+        monkeypatch.setattr(DdbnModel, name, spy(name))
+    for threshold in (None, 0.0):  # file order; hardest first, every block
+        calls.clear()
+        assert evaluator.accuracy(pmap, threshold) == expected
+        assert set(calls) == {("pre_activation", 1, 2), ("activation", 1, 2)}
+    evaluator.accept()
+    monkeypatch.undo()
+    _assert_cache_fresh(evaluator, X)
