@@ -286,10 +286,12 @@ def cmd_eval(model_path, images_path, labels_path, mode, samples, seed):
         raise ConfigError("--seed must be >= 0")
     model = _load_model(model_path)
     data = ds.load_idx(images_path, labels_path)
-    acc = ddbn.evaluate_accuracy(model, data.images, data.labels, mode=mode,
-                                 samples=samples, seed=seed)
-    counts = ddbn.confusion_counts(model, data.images, data.labels, mode=mode,
-                                   samples=samples, seed=seed)
+    inference = dict(mode=mode, samples=samples, seed=seed)
+    try:
+        acc = ddbn.evaluate_accuracy(model, data.images, data.labels, **inference)
+        counts = ddbn.confusion_counts(model, data.images, data.labels, **inference)
+    except MemoryError as e:
+        raise ConfigError(f"--samples {samples}: out of memory: {e}") from e
     print(f"accuracy {acc:.6f} ({mode})")
     print("confusion (rows = true label, cols = predicted):")
     for row in counts:

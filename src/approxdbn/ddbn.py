@@ -212,16 +212,13 @@ class DdbnModel:
             activations.append(v)
         return activations
 
-    def mean_field_probs(self, h, first=0):
-        """Mean-field class probabilities given the rows ``h`` that feed
-        hidden layer ``first`` (the images when 0), propagated ``_CHUNK``
-        rows per step."""
-        probs = np.empty((len(h), self.layer_sizes[-1]))
-        for start in range(0, len(h), _CHUNK):
-            a = h[start:start + _CHUNK]
-            for layer in range(first, self.num_hidden_layers):
-                a = self.hidden_probs(layer, a)
-            probs[start:start + _CHUNK] = self.class_probs(a)
+    def mean_field_probs(self, v):
+        """Mean-field class probabilities of the images ``v``, propagated
+        ``_CHUNK`` rows per step."""
+        probs = np.empty((len(v), self.layer_sizes[-1]))
+        for start in range(0, len(v), _CHUNK):
+            probs[start:start + _CHUNK] = self.class_probs(
+                self.forward_hidden(v[start:start + _CHUNK])[-1])
         return probs
 
     def classify(self, v, mode="mean_field", samples=10, seed=0):
@@ -316,12 +313,12 @@ def _requantized(arr, bits, pmap, cols):
     return out
 
 
-def _requantize_layer(model, layer, cols=slice(None), rows=slice(None)):
+def _requantize_layer(model, layer, cols=slice(None)):
     """Requantize the RBM under hidden layer ``layer`` into new arrays: the
-    weight and hidden-bias columns of its neurons ``cols`` and its visible-bias
-    entries ``rows`` (default all of both; None: none). ``rows`` selects entries
-    only above layer 0: layer 0's visible bias follows the one global budget and
-    is requantized whole. An array with nothing to requantize stays shared."""
+    weight and hidden-bias columns of its neurons ``cols`` (default all) and its
+    whole visible bias, which the global budget governs at layer 0 and the
+    layer below's neurons above it. Weights with no column to requantize stay
+    shared."""
     pmap = model.precision
     if pmap is None:
         return
@@ -331,10 +328,9 @@ def _requantize_layer(model, layer, cols=slice(None), rows=slice(None)):
         model.hidden_biases[layer] = _requantized(model.hidden_biases[layer], bits,
                                                   pmap, cols)
     vb = model.visible_biases[layer]
-    if rows is not None:
-        model.visible_biases[layer] = (
-            quantize_all(vb, pmap.weight_format(pmap.global_frac_bits)) if layer == 0
-            else _requantized(vb, pmap.hidden_frac_bits[layer - 1], pmap, rows))
+    model.visible_biases[layer] = (
+        quantize_all(vb, pmap.weight_format(pmap.global_frac_bits)) if layer == 0
+        else _quantize_columns(vb, pmap.hidden_frac_bits[layer - 1], pmap))
 
 
 def _requantize_class(model):
@@ -483,14 +479,14 @@ def confusion_counts(model, images, labels, mode="mean_field",
 class CandidateEvaluator:
     """Mean-field accuracy of the accepted ``model`` under maps that change a few
     neuron budgets; ``accept`` commits the last one. A candidate requantizes only
-    the columns whose budget changed. For the lowest hidden layers whose sums
-    float64 adds exactly (``_exact``), the accepted model's activations ``a[l]`` and,
-    above layer 0, pre-activations ``z[l]`` are kept: a candidate recomputes its
-    lowest changed layer's changed columns, adds their change to the next layer's
-    ``z`` and walks the layers above in full. With no exact layer 0, or a map that
-    differs in more than the hidden budgets, it calls ``evaluate_accuracy``. Under a
-    threshold, the walk takes the rows hardest first, ``_BLOCK`` at a time, and
-    stops once it fails."""
+    the columns whose budget changed. When float64 adds every layer's sums exactly
+    (``_exact``), the accepted model's activations ``a[l]`` of every hidden layer
+    and, above layer 0, its pre-activations ``z[l]`` are kept: a candidate that
+    changes only hidden budgets and stays exact recomputes its lowest changed
+    layer's changed columns, adds their change to the next layer's ``z`` and walks
+    the layers above in full. Under a threshold, that walk takes the rows hardest
+    first, ``_BLOCK`` at a time, and stops once it fails. Any other candidate is
+    walked from the images, as ``classify`` walks them."""
 
     def __init__(self, model, images, labels):
         self.images = np.asarray(images, dtype=np.float64)
@@ -500,33 +496,35 @@ class CandidateEvaluator:
             # candidates requantize only the columns they change, which needs
             # the accepted model on its grid; the identity if it already is
             model = model.apply_precision(model.precision)
-        self.model, self.a, self.z = model, [], []
-        self.probs = self._order = self._pending = None
-        for layer in range(min(self._exact(model), model.num_hidden_layers)):
-            z = model.pre_activation(layer, self.a[-1] if layer else self.images)
-            self.z.append(z if layer else None)  # layer 0's inputs never change
-            self.a.append(model.activation(layer, z))
+        self._pending = None
+        self._keep(model)
+
+    def _keep(self, model):
+        """Accept ``model``, and keep every hidden layer if it is exact."""
+        self.model, self._order, self.a, self.z = model, None, [], []
+        if self._exact(model):
+            for layer in range(model.num_hidden_layers):
+                z = model.pre_activation(layer, self.a[-1] if layer else self.images)
+                self.z.append(z if layer else None)  # layer 0's inputs never change
+                self.a.append(model.activation(layer, z))
 
     def _exact(self, model):
-        """How many of the lowest layers (hidden, then class) have sums that float64
-        adds exactly, so that no row's result depends on the rows sharing its step:
-        Q0.a inputs (images: 0) times Qm.b weights need m + a + b + ceil(log2 fan-in)
-        <= 53."""
+        """Whether float64 adds the sums of every layer, hidden and class, exactly,
+        so that no row's result depends on the rows sharing its step: Q0.a inputs
+        (images: 0) times Qm.b weights need m + a + b + ceil(log2 fan-in) <= 53."""
         pmap = model.precision
         if not self.binary or pmap is None:
-            return 0
+            return False
         b = [int(bits.max()) for bits in pmap.hidden_frac_bits] + [pmap.class_frac_bits]
         a = [0] + [pmap.activation_format(n).frac_bits for n in b[:-1]]
-        fits = [pmap.weight_int_bits + a_in + b_w + math.ceil(math.log2(size)) <= 53
-                for a_in, b_w, size in zip(a, b, model.layer_sizes)]
-        return (fits + [False]).index(False)
+        return all(pmap.weight_int_bits + a_in + b_w + math.ceil(math.log2(size)) <= 53
+                   for a_in, b_w, size in zip(a, b, model.layer_sizes))
 
     def _hardest_first(self):
         """The accepted model's errors, then its correct rows by ascending margin."""
         if self._order is None:
-            if self.probs is None:
-                self.probs = self.model.mean_field_probs(self.a[-1], first=len(self.a))
-            p, truth = self.probs, np.eye(self.probs.shape[1], dtype=bool)[self.labels]
+            p = self.model.class_probs(self.a[-1])
+            truth = np.eye(p.shape[1], dtype=bool)[self.labels]
             margin = p[truth] - np.where(truth, -np.inf, p).max(axis=1)
             self._order = np.lexsort((margin, p.argmax(axis=1) == self.labels))
         return self._order
@@ -544,15 +542,13 @@ class CandidateEvaluator:
                    in zip(pmap.hidden_frac_bits, old.hidden_frac_bits)]
         candidate = self.model._sharing_arrays(pmap)
         for layer, cols in enumerate(changed):
-            # layer - 1's neurons govern this RBM's visible bias; the global
-            # budget, which stays, governs layer 0's
-            rows = changed[layer - 1] if layer and len(changed[layer - 1]) else None
-            if len(cols) or rows is not None:
-                _requantize_layer(candidate, layer, cols, rows)
+            # layer - 1's neurons govern this RBM's visible bias
+            if len(cols) or layer and len(changed[layer - 1]):
+                _requantize_layer(candidate, layer, cols)
         return candidate, changed
 
-    def _recompute(self, candidate, changed, f, p, rows, new):
-        """The candidate's layer p - 1 activations on ``rows``, from layer ``f`` up:
+    def _recompute(self, candidate, changed, f, rows, new):
+        """The candidate's top hidden activations on ``rows``, from layer ``f`` up:
         f's changed columns, layer f + 1 by the change in f, the rest in full. Writes
         each layer's z and a (layer f: its changed columns) into ``new``."""
         cols, below = changed[f], self.a[f - 1] if f else self.images
@@ -562,7 +558,7 @@ class CandidateEvaluator:
         v = np.array(self.a[f][rows])  # a copy, of a slice too
         delta = a - v[:, cols]
         v[:, cols] = a
-        for layer in range(f + 1, p):
+        for layer in range(f + 1, len(self.a)):
             if layer == f + 1:  # exact sums: the change in f, times the weights it met
                 z = self.z[layer][rows] + delta @ self.model.weights[layer][cols]
                 if len(own := changed[layer]):
@@ -579,44 +575,41 @@ class CandidateEvaluator:
         it, and leave nothing to accept."""
         self._pending = None  # frees a rejected candidate before the next
         candidate, changed = self._candidate(pmap)
-        exact = self._exact(candidate)
-        p = min(exact, len(self.a))  # cached layers whose sums stay exact
-        if changed is None or not p:
-            self._pending = (candidate, None, None)
-            return evaluate_accuracy(candidate, self.images, self.labels)
         n, errors = len(self.labels), 0
-        if threshold is None or exact <= len(changed):  # some layer is not exact
-            # classify's row steps, in file order, to the end
+        if not (self.a and changed is not None and self._exact(candidate)):
+            self._pending = (candidate, None)
+            pred = candidate.mean_field_probs(self.images).argmax(axis=1)
+            return int((pred == self.labels).sum()) / n
+        if threshold is None:  # every row, in file order
             blocks = [slice(s, s + _CHUNK) for s in range(0, n, _CHUNK)]
             threshold = -math.inf
         else:
             order = self._hardest_first()
             blocks = [order[s:s + _BLOCK] for s in range(0, n, _BLOCK)]
-        f = next((layer for layer in range(p) if len(changed[layer])), p)
-        widths = [len(changed[f])] + candidate.layer_sizes[f + 2:p + 1] if f < p else []
+        top = len(self.a)
+        f = next((layer for layer, cols in enumerate(changed) if len(cols)), top)
+        widths = [len(changed[f])] + candidate.layer_sizes[f + 2:top + 1] if f < top else []
         new = [(np.empty((n, k)), np.empty((n, k))) for k in widths]
-        probs = np.empty((n, candidate.layer_sizes[-1]))
         for rows in blocks:  # slices, or gathers: no permuted copy of the images
-            v = (self._recompute(candidate, changed, f, p, rows, new) if f < p
-                 else self.a[p - 1][rows])
-            probs[rows] = candidate.mean_field_probs(v, first=p)
-            errors += int((np.argmax(probs[rows], axis=1) != self.labels[rows]).sum())
+            v = (self._recompute(candidate, changed, f, rows, new) if f < top
+                 else self.a[-1][rows])
+            pred = candidate.class_probs(v).argmax(axis=1)
+            errors += int((pred != self.labels[rows]).sum())
             if (n - errors) / n < threshold:  # Phase 2's test, whatever the rest give
                 return (n - errors) / n
-        self._pending = (candidate, (p, f, changed[f] if f < p else None, new), probs)
+        self._pending = (candidate, (f, changed[f] if f < top else None, new))
         return (n - errors) / n
 
     def accept(self):
         """Commit the candidate of the last ``accuracy`` call, if evaluated in full."""
         if self._pending is None:
             raise ValueError("no fully evaluated candidate to accept")
-        self.model, update, self.probs = self._pending
-        self._pending = self._order = None
-        if update is None:  # evaluated by evaluate_accuracy: nothing cached
-            self.a, self.z = [], []
+        (candidate, update), self._pending = self._pending, None
+        if update is None:  # walked from the images
+            self._keep(candidate)
             return
-        p, f, cols, new = update
-        del self.a[p:], self.z[p:]
+        self.model, self._order = candidate, None
+        f, cols, new = update
         for layer, (z, a) in enumerate(new, start=f):
             if layer > f:
                 self.z[layer], self.a[layer] = z, a

@@ -318,6 +318,16 @@ class TestSampleCounts:
                          "--labels", config["test_labels"], "--mode", "stochastic",
                          "--samples", "0"]) == cli.EXIT_CONFIG
 
+    def test_eval_samples_out_of_memory_exits_2(self, trained, capsys):
+        # 10**15 samples of 8 activations need 57 PiB, beyond any address
+        # space: numpy refuses the array at once and allocates nothing
+        tmp, cfg, config, model = trained
+        assert cli.main(["eval", "--model", model, "--images", config["test_images"],
+                         "--labels", config["test_labels"], "--mode", "stochastic",
+                         "--samples", str(10 ** 15)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"--samples {10 ** 15}" in err and "Unable to allocate" in err
+
 
 def _set(*path, value):
     """A config edit that sets the nested key ``path`` to ``value``."""

@@ -1,6 +1,7 @@
 """``tools/compare_outputs.py`` on a tiny version of a benchmark workload:
 a tree compared with itself shows no difference, and a tree whose output
-changes by one byte is caught, for one seed or several in one call."""
+changes by one byte is caught, for one seed or several in one call; with
+no flags it runs every workload with the seeds 1, 7 and 32."""
 
 import dataclasses
 import importlib.util
@@ -55,6 +56,11 @@ def test_several_seeds(tool, tmp_path, monkeypatch, capsys):
     assert tool.main([str(ROOT), str(ROOT), *argv]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "retrain seed 1: identical", "retrain seed 7: identical"]
+    # no flags: every workload, with the seeds 1, 7 and 32
+    assert tool.main([str(ROOT), str(ROOT)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "retrain seed 1: identical", "retrain seed 7: identical",
+        "retrain seed 32: identical"]
     assert tool.main([str(ROOT), str(_changed_tree(tmp_path / "changed")), *argv]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if " seed " in line] == [

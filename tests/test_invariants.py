@@ -205,7 +205,7 @@ def test_candidate_evaluator_matches_classify(seed, hidden, frac_bits, steps):
     """Along a random sequence of budget cuts, some accepted and some
     rejected, the evaluator's accuracy of a map equals ``evaluate_accuracy``
     of the accepted model under that map, and its kept activations, carried
-    on through ``mean_field_probs``, byte-equal a full pass of the accepted
+    on through ``class_probs``, byte-equal a full pass of the accepted
     model."""
     rng = np.random.default_rng(seed)
     model = _random_model([16, *hidden, 10], rng)
@@ -222,10 +222,9 @@ def test_candidate_evaluator_matches_classify(seed, hidden, frac_bits, steps):
             evaluator.accept()
             pmap, current = pmap_next, evaluator.model
         assert evaluator.model is current
-        assert evaluator.a[0].tobytes() == current.hidden_probs(0, X).tobytes()
-        top = len(evaluator.a)
-        assert (evaluator.model.mean_field_probs(evaluator.a[-1], first=top).tobytes()
-                == evaluator.model.classify(X)[1].tobytes())
+        _assert_cache_fresh(evaluator, X)
+        assert (current.class_probs(evaluator.a[-1]).tobytes()
+                == current.classify(X)[1].tobytes())
 
 
 @pytest.mark.parametrize("order", ["criticality", "random"])
@@ -257,14 +256,31 @@ def test_curve_matches_oracle_from_original_model(order, seed):
     assert curve.tolist() == expected
 
 
-@pytest.mark.parametrize("case,fast", [
+def _rows_at_layer0(monkeypatch):
+    """A list that grows by the row count of each ``hidden_probs(0, ...)`` call."""
+    rows, hidden_probs = [], DdbnModel.hidden_probs
+
+    def counting(model, layer, v, cols=slice(None)):
+        if layer == 0:
+            rows.append(len(v))
+        return hidden_probs(model, layer, v, cols)
+
+    monkeypatch.setattr(DdbnModel, "hidden_probs", counting)
+    return rows
+
+
+@pytest.mark.parametrize("case,exact0", [
     ("binary", True),
     ("grayscale", False),
-    ("budget_35", True),    # 8 + 35 + ceil(log2 784) = 53 bits
+    ("budget_35", True),    # layer 0: 8 + 35 + ceil(log2 784) = 53 bits
     ("budget_36", False),
     ("no_map", False),
 ])
-def test_candidate_evaluator_fallback(monkeypatch, case, fast):
+def test_candidate_evaluator_fallback(monkeypatch, case, exact0):
+    """Only a model whose every layer is exact keeps its hidden layers; any other
+    candidate is walked from the images. An exact layer 0 (``exact0``) is not
+    enough: budget_35's layer 1 needs 8 + 35 + 35 + 3 bits. The model without a
+    map keeps them once it accepts its first, exact, candidate."""
     rng = np.random.default_rng(3)
     width = 784 if case.startswith("budget") else 16
     model = _random_model([width, 5, 4, 10], rng)
@@ -279,34 +295,32 @@ def test_candidate_evaluator_fallback(monkeypatch, case, fast):
     for pmap_next in maps:
         candidate = candidate.apply_precision(pmap_next)
         expected.append(evaluate_accuracy(candidate, X, y))
-    calls, rows = [], {0: 0, 1: 0}
-    full, hidden_probs = ddbn.evaluate_accuracy, DdbnModel.hidden_probs
-    monkeypatch.setattr(ddbn, "evaluate_accuracy",
-                        lambda *a, **k: calls.append(1) or full(*a, **k))
+    monkeypatch.setattr(ddbn, "evaluate_accuracy", None)
     evaluator = CandidateEvaluator(accepted, X, y)
-
-    def counting(model, layer, v, cols=slice(None)):
-        rows[layer] += len(v)
-        return hidden_probs(model, layer, v, cols)
-
-    monkeypatch.setattr(DdbnModel, "hidden_probs", counting)
+    rows = _rows_at_layer0(monkeypatch)
     for pmap_next, acc in zip(maps, expected):
         assert evaluator.accuracy(pmap_next) == acc
         evaluator.accept()
-    # budget_35: layer 0 is cached, and layer 1, whose sums are not exact, is
-    # walked in full for each candidate
-    cached = {"binary": 2, "budget_35": 1}.get(case, 0)
-    assert (len(evaluator.a), len(calls)) == ((cached, 0) if fast else (0, 2))
-    if case == "budget_35":
-        assert rows == {0: 0, 1: 2 * len(X)}
+    walked = {"binary": 0, "no_map": 1}.get(case, 2)  # candidates walked from the images
+    assert rows == [len(X)] * walked
+    assert len(evaluator.a) == (0 if walked == 2 else 2)
+    monkeypatch.undo()
+    _assert_cache_fresh(evaluator, X)
+    # with the top hidden layer pruned, every layer is exact exactly when layer 0 is
+    if accepted.precision is not None:
+        pruned = pmap.copy()
+        pruned.hidden_frac_bits[-1][:] = 0
+        accepted = accepted.apply_precision(pruned)
+    assert evaluator._exact(accepted) == exact0
 
 
 def _assert_cache_fresh(evaluator, X):
-    """Each cached activation ``a[l]`` and pre-activation ``z[l]`` byte-equals a
-    fresh pass of the accepted model."""
+    """The evaluator keeps every hidden layer when the accepted model is exact and
+    none otherwise, and each cached activation ``a[l]`` and pre-activation ``z[l]``
+    byte-equals a fresh pass of the accepted model."""
     model = evaluator.model
     fresh = model.forward_hidden(X)
-    assert 0 < len(evaluator.a) <= evaluator._exact(model)
+    assert len(evaluator.a) == (model.num_hidden_layers if evaluator._exact(model) else 0)
     for layer, a in enumerate(evaluator.a):
         assert a.tobytes() == fresh[layer].tobytes()
         if layer:
@@ -335,8 +349,8 @@ def _hopeless_case(activation_frac_bits=0, n=600):
 ])
 def test_early_rejection_rows_walked(monkeypatch, activation_frac_bits, early):
     """Under a threshold, a hopeless candidate stops before the last row; with
-    no threshold, or when deeper layers' sums are not exact, it walks every
-    row and returns the exact accuracy."""
+    no threshold, or when deeper layers' sums are not exact (nothing is kept),
+    it walks every row and returns the exact accuracy."""
     accepted, hopeless, X, y = _hopeless_case(activation_frac_bits)
     exact = evaluate_accuracy(accepted.apply_precision(hopeless), X, y)
     evaluator = CandidateEvaluator(accepted, X, y)
@@ -351,7 +365,7 @@ def test_early_rejection_rows_walked(monkeypatch, activation_frac_bits, early):
     monkeypatch.setattr(ddbn, "evaluate_accuracy", None)  # no full-pass fallback
     acc = evaluator.accuracy(hopeless, 0.9)
     assert exact < 0.9 and acc < 0.9 and acc >= exact
-    assert (sum(walked) < len(X)) == early and len(evaluator.a) == (2 if early else 1)
+    assert (sum(walked) < len(X)) == early and len(evaluator.a) == (2 if early else 0)
     if not early:
         assert acc == exact
     walked.clear()
@@ -370,6 +384,58 @@ def test_accept_needs_a_fully_evaluated_candidate():
     assert evaluator.accuracy(hopeless, 0.0) < 0.9
     evaluator.accept()
     assert evaluator.model.precision.total_hidden_bits() == 8 * 6
+
+
+def test_accepted_exact_cut_keeps_every_layer(monkeypatch):
+    """An evaluator that keeps nothing rebuilds its cache when it accepts a candidate
+    whose every layer, the class layer too, is exact, and drops it again for a
+    candidate whose raised budget makes layer 0 inexact."""
+    rng = np.random.default_rng(5)
+    model = _random_model([784, 5, 4, 10], rng)
+    X = (rng.random((40, 784)) > 0.5).astype(float)
+    y = rng.integers(0, 10, len(X))
+    pmap = PrecisionMap.uniform([5, 4], 36)  # layer 0: 8 + 36 + 10 bits
+    evaluator = CandidateEvaluator(model.apply_precision(pmap), X, y)
+    assert evaluator.a == []
+    hidden_8, hidden_4 = pmap.copy(), pmap.copy()
+    for bits in hidden_8.hidden_frac_bits:
+        bits[:] = 8   # the class layer: 8 + 8 + 36 + 2 bits
+    for bits in hidden_4.hidden_frac_bits:
+        bits[:] = 4   # the class layer: 8 + 4 + 36 + 2 bits
+    raised = hidden_4.copy()
+    raised.hidden_frac_bits[0][2] = 40
+    rows = _rows_at_layer0(monkeypatch)
+    for pmap_next, kept in ((hidden_8, 0), (hidden_4, 2), (raised, 0)):
+        expected = evaluate_accuracy(evaluator.model.apply_precision(pmap_next), X, y)
+        rows.clear()
+        assert evaluator.accuracy(pmap_next) == expected
+        assert rows == [len(X)]  # each is walked from the images
+        evaluator.accept()
+        assert len(evaluator.a) == kept
+        _assert_cache_fresh(evaluator, X)
+
+
+def test_accepted_class_cut_rebuilds_a_fresh_cache(monkeypatch):
+    """A candidate that also cuts the class budget is walked from the images; once
+    accepted, the evaluator keeps fresh arrays of every hidden layer, which the
+    next hidden-budget candidate reads instead of the images."""
+    accepted, _, X, y = _hopeless_case()
+    evaluator = CandidateEvaluator(accepted, X, y)
+    stale = evaluator.a[0]
+    pmap = accepted.precision.copy()
+    pmap.class_frac_bits = 3
+    pmap.hidden_frac_bits[0][[0, 5]] -= 2
+    hidden = pmap.copy()
+    hidden.hidden_frac_bits[1][3] = 0
+    rows = _rows_at_layer0(monkeypatch)
+    for pmap_next, walked in ((pmap, [len(X)]), (hidden, [])):
+        expected = evaluate_accuracy(evaluator.model.apply_precision(pmap_next), X, y)
+        rows.clear()
+        assert evaluator.accuracy(pmap_next) == expected
+        assert rows == walked
+        evaluator.accept()
+        assert len(evaluator.a) == 2 and evaluator.a[0] is not stale
+        _assert_cache_fresh(evaluator, X)
 
 
 @settings(max_examples=30, deadline=None)

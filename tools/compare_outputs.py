@@ -2,23 +2,25 @@
 
 Usage (from anywhere):
 
-    python3 tools/compare_outputs.py TREE_A TREE_B --workload retrain|sweep --seed N [N ...]
+    python3 tools/compare_outputs.py TREE_A TREE_B [--workload retrain|sweep] [--seed N [N ...]]
 
-Generates the inputs of ``perfbench/workloads.py``'s workload for the
-seed, then runs the CLI commands with each tree's ``src/`` (BLAS pinned
-to one thread): the workload's ``train``, ``search``, ``curve`` and
-``eval``, plus ``search`` with the test images set and ``eval`` in the
-other inference mode. Both trees write to the same output directory,
-one after the other, since some commands print that path. It hashes
-every file the commands write, except ``config_echo.json`` (it names the
-input paths), plus each command's standard output and exit code. It
-prints every difference and every command that did not exit 0, seed by
-seed, and exits 1 if there is one for any seed, else 0.
+With no ``--workload`` it runs every workload, and with no ``--seed`` the
+seeds 1, 7 and 32. For each workload and seed it generates the inputs of
+``perfbench/workloads.py``'s workload, then runs the CLI commands with
+each tree's ``src/`` (BLAS pinned to one thread): the workload's
+``train``, ``search``, ``curve`` and ``eval``, plus ``search`` with the
+test images set and ``eval`` in the other inference mode. Both trees
+write to the same output directory, one after the other, since some
+commands print that path. It hashes every file the commands write,
+except ``config_echo.json`` (it names the input paths), plus each
+command's standard output and exit code. It prints every difference and every command that did not exit 0, run by
+run, and exits 1 if there is one for any run, else 0.
 """
 
 import argparse
 import hashlib
 import importlib.util
+import itertools
 import json
 import os
 import shutil
@@ -30,6 +32,7 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SKIPPED = {"config_echo.json"}
+SEEDS = (1, 7, 32)
 
 
 def load_workloads():
@@ -108,17 +111,17 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tree_a")
     parser.add_argument("tree_b")
-    parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
-    parser.add_argument("--seed", type=int, nargs="+", required=True)
+    parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("--seed", type=int, nargs="+", default=SEEDS)
     args = parser.parse_args(argv)
+    names = [args.workload] if args.workload else sorted(workloads.WORKLOADS)
     failed = False
-    for seed in args.seed:
+    for name, seed in itertools.product(names, args.seed):
         with tempfile.TemporaryDirectory() as work:
-            diffs = compare(args.tree_a, args.tree_b, workloads.WORKLOADS[args.workload],
-                            seed, work)
+            diffs = compare(args.tree_a, args.tree_b, workloads.WORKLOADS[name], seed, work)
         for line in diffs:
             print(line)
-        print(f"{args.workload} seed {seed}: "
+        print(f"{name} seed {seed}: "
               f"{'identical' if not diffs else f'{len(diffs)} problems'}")
         failed = failed or bool(diffs)
     return 1 if failed else 0
