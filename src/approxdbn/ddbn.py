@@ -427,11 +427,15 @@ def _train_top_rbm(model, data, targets, config, rng):
     _cd(model, model.num_hidden_layers - 1, data, config, rng, targets)
 
 
-def _train_stack(model, images, one_hot, config):
+def _train_stack(model, images, one_hot, config, first=0):
+    """CD on the RBMs from hidden layer ``first`` up, bottom to top, all
+    drawing from one generator seeded with ``config.seed``; the layers
+    below ``first`` only pass the data up."""
     rng = np.random.default_rng(config.seed)
     data = np.asarray(images, dtype=np.float64)
     for layer in range(model.num_hidden_layers - 1):
-        _train_rbm(model, layer, data, config, rng)
+        if layer >= first:
+            _train_rbm(model, layer, data, config, rng)
         data = model.hidden_probs(layer, data)
     _train_top_rbm(model, data, one_hot, config, rng)
 
@@ -447,14 +451,20 @@ def train_ddbn(images, one_hot, layer_sizes, config) -> DdbnModel:
     return model
 
 
-def retrain_quantized(model, pmap, images, one_hot, config) -> DdbnModel:
-    """Continue CD training from the current (quantized) parameters.
-    The model's parameters are re-quantized after every update; the
-    update steps themselves accumulate in full-precision masters so
-    that coarse formats do not swallow small gradients. Pruned neurons
-    stay at zero."""
+def retrain_quantized(model, pmap, images, one_hot, config, first=0) -> DdbnModel:
+    """Continue CD training from the current (quantized) parameters, on
+    the RBMs from hidden layer ``first`` up: 0 retrains every RBM, the
+    top hidden layer only the discriminative top RBM, which then trains on
+    the quantized mean-field activations of the fixed layers below.
+    Phase 2's first retrain trains every RBM; a later one does so when at
+    least 10% of the neurons below the top hidden layer changed budget
+    since the last such retrain, and otherwise trains only the top RBM
+    (``search.FULL_RETRAIN_SHARE``). The model's
+    parameters are re-quantized after every update; the update steps
+    themselves accumulate in full-precision masters so that coarse
+    formats do not swallow small gradients. Pruned neurons stay at zero."""
     out = model.apply_precision(pmap)
-    _train_stack(out, images, one_hot, config)
+    _train_stack(out, images, one_hot, config, first)
     return out
 
 

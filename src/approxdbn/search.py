@@ -25,6 +25,7 @@ class InfeasibleConstraint(Exception):
 
 
 RETRAIN_LEARNING_RATE = 0.1
+FULL_RETRAIN_SHARE = 0.1  # see _lowest_retrained_layer
 
 
 @dataclass
@@ -131,13 +132,27 @@ def _reduce_candidates(pmap, candidates):
     return new if changed else None
 
 
+def _lowest_retrained_layer(pmap, reference):
+    """The lowest hidden layer a Phase-2 retrain trains: 0 (every RBM) when
+    there is no ``reference``, the budgets of hidden layers 0..L-2 at the
+    last full retrain, or when at least ``FULL_RETRAIN_SHARE`` of those
+    neurons changed budget since; else L-1 (only the top RBM)."""
+    if reference is None:
+        return 0
+    lower = pmap.hidden_frac_bits[:-1]
+    changed = sum(int((a != b).sum()) for a, b in zip(lower, reference))
+    total = sum(len(bits) for bits in lower)
+    return 0 if changed >= FULL_RETRAIN_SHARE * total else len(pmap.hidden_frac_bits) - 1
+
+
 def phase2_greedy(model, config, train_images, train_one_hot,
                   val_images, val_labels, baseline_acc,
                   use_criticality=True, retrain=True,
                   train_config=None, order_seed=0):
     """Criticality-ordered per-neuron reduction of the quantized ``model``'s
     map with quantization-aware retraining; the class layer stays frozen at
-    its Phase-1 format. Returns the accepted model and the trace."""
+    its Phase-1 format. A retrain trains every RBM or only the top one
+    (``_lowest_retrained_layer``). Returns the accepted model and the trace."""
     threshold = (1.0 - config.max_relative_accuracy_loss) * baseline_acc
     if train_config is None:
         train_config = TrainConfig()
@@ -145,6 +160,7 @@ def phase2_greedy(model, config, train_images, train_one_hot,
     total_neurons = sum(model.hidden_sizes)
     trace = []
     evaluator = CandidateEvaluator(model, val_images, val_labels)
+    reference = None  # lower hidden budgets at the last full retrain
 
     iteration = 0
     while True:
@@ -174,9 +190,12 @@ def phase2_greedy(model, config, train_images, train_one_hot,
                 train_config, epochs=config.retrain_epochs,
                 learning_rate=RETRAIN_LEARNING_RATE,
                 seed=train_config.seed + iteration)
+            first = _lowest_retrained_layer(pmap, reference)
+            if first == 0:  # kept or reverted
+                reference = [bits.copy() for bits in pmap.hidden_frac_bits[:-1]]
             retrained_eval = CandidateEvaluator(
                 retrain_quantized(current, pmap, train_images, train_one_hot,
-                                  retrain_config), val_images, val_labels)
+                                  retrain_config, first), val_images, val_labels)
             # the unchanged map: each model's own accuracy, from its evaluator
             acc = retrained_eval.accuracy(pmap)
             if acc >= threshold:

@@ -3,8 +3,8 @@
 Each test checks one headline property of the whole pipeline and prints a
 single PASS/FAIL line with the measured number next to its threshold. The
 MNIST-backed tests skip when the IDX files are absent (see conftest). The
-five-seed ablation comparison is marked slow and excluded from the default
-run; select it with ``-m slow``.
+five-seed ablation comparisons, on MNIST and on generated digits, are
+marked slow and excluded from the default run; select them with ``-m slow``.
 """
 
 import importlib.util
@@ -241,10 +241,41 @@ def test_ablation_median_ordering(mnist):
                                 va.images, va.labels, variant=variant,
                                 train_config=train_config, order_seed=seed)
             totals[variant].append(res.precision_map.total_hidden_bits())
+    _report_ablation("ablation-ordering", totals)
+
+
+@pytest.mark.slow
+def test_ablation_median_ordering_generated(tmp_path):
+    """``test_ablation_median_ordering`` on the benchmark's generated digits
+    in the ``retrain`` workload's shape: 784-100-50-10, 3,000 samples with
+    flip rate 0.12, a 10% validation split and 5 retrain epochs. Config
+    seeds 0-4 each set the split, the train seed and the random order, as
+    the CLI's ``seed`` does."""
+    gen = _load_generator()
+    gen.write_idx(*gen.generate(3000, 0, 0.12), tmp_path / "imgs", tmp_path / "lbls")
+    data = load_idx(tmp_path / "imgs", tmp_path / "lbls")
+    config = SearchConfig(max_relative_accuracy_loss=0.10, retrain_epochs=5)
+    variants = ("full", "no_retrain", "no_criticality")
+    totals = {v: [] for v in variants}
+    for seed in range(5):
+        tr, va = split(data, 0.1, seed=seed)
+        train_config = TrainConfig(seed=seed)
+        model = train_ddbn(tr.images, tr.one_hot, LAYER_SIZES, train_config)
+        for variant in variants:
+            res = run_approxdbn(model, config, tr.images, tr.one_hot,
+                                va.images, va.labels, variant=variant,
+                                train_config=train_config, order_seed=seed)
+            totals[variant].append(res.precision_map.total_hidden_bits())
+    _report_ablation("ablation-ordering-generated", totals)
+
+
+def _report_ablation(name, totals):
+    """Median total bits of ``full`` at most those of ``no_retrain`` and
+    of ``no_criticality``."""
     med = {v: float(np.median(t)) for v, t in totals.items()}
     ok = (med["full"] <= med["no_retrain"]
           and med["full"] <= med["no_criticality"])
-    report("ablation-ordering", ok,
+    report(name, ok,
            f"median bits full={med['full']} <= no_retrain={med['no_retrain']} "
            f"and <= no_criticality={med['no_criticality']}; totals={totals}")
 

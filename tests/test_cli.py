@@ -328,6 +328,16 @@ class TestSampleCounts:
         err = capsys.readouterr().err
         assert f"--samples {10 ** 15}" in err and "Unable to allocate" in err
 
+    def test_eval_samples_past_the_address_space_exits_2(self, trained, capsys):
+        # 10**18 samples of 8 activations pass 2**63 bytes, where numpy
+        # raises ValueError, not MemoryError, before it allocates anything
+        tmp, cfg, config, model = trained
+        assert cli.main(["eval", "--model", model, "--images", config["test_images"],
+                         "--labels", config["test_labels"], "--mode", "stochastic",
+                         "--samples", str(10 ** 18)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"--samples {10 ** 18}" in err and "largest array" in err
+
 
 def _set(*path, value):
     """A config edit that sets the nested key ``path`` to ``value``."""

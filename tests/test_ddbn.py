@@ -294,6 +294,76 @@ class TestRetrainQuantized:
         assert any("overflow" in str(w.message) for w in record)
 
 
+def _every_rbm_stack(model, images, one_hot, config):
+    """The reference for ``_train_stack(..., first=0)``: CD on every RBM,
+    bottom to top, all from one generator seeded with ``config.seed``."""
+    rng = np.random.default_rng(config.seed)
+    data = images
+    for layer in range(model.num_hidden_layers - 1):
+        ddbn._train_rbm(model, layer, data, config, rng)
+        data = model.hidden_probs(layer, data)
+    ddbn._train_top_rbm(model, data, one_hot, config, rng)
+
+
+def _rbm_bytes(model, layers):
+    """Bytes of [W, hidden bias, visible bias] of the RBMs under ``layers``."""
+    return [p.tobytes() for layer in layers for p in ddbn._rbm_params(model, layer, False)]
+
+
+def _parameter_bytes(model):
+    return _rbm_bytes(model, range(model.num_hidden_layers)) + [
+        model.class_weights.tobytes(), model.class_bias.tobytes()]
+
+
+class TestTrainStack:
+    """``_train_stack(..., first)`` runs CD on the RBMs from hidden layer
+    ``first`` up; the layers below only pass the data up."""
+
+    SIZES = [12, 6, 5, 4, 10]
+
+    def _quantized(self, X, T):
+        base = train_ddbn(X, T, self.SIZES, TrainConfig(epochs=1, batch_size=10, seed=5))
+        pmap = PrecisionMap.uniform(self.SIZES[1:-1], 4)
+        for layer, idx in ((0, 1), (1, 2), (2, 0)):
+            pmap.hidden_frac_bits[layer][idx] = 0
+        return base, pmap
+
+    def test_first_zero_trains_every_rbm_as_before(self, tiny_data):
+        X, T, _ = tiny_data
+        cfg = TrainConfig(epochs=2, batch_size=10, seed=7)
+        want = DdbnModel.random_init(self.SIZES, seed=cfg.seed)
+        _every_rbm_stack(want, X, T, cfg)
+        assert _parameter_bytes(train_ddbn(X, T, self.SIZES, cfg)) == _parameter_bytes(want)
+        base, pmap = self._quantized(X, T)
+        want = base.apply_precision(pmap)
+        _every_rbm_stack(want, X, T, cfg)
+        for first in ({}, {"first": 0}):
+            got = retrain_quantized(base, pmap, X, T, cfg, **first)
+            assert _parameter_bytes(got) == _parameter_bytes(want)
+
+    def test_top_only_keeps_lower_rbms(self, tiny_data):
+        X, T, _ = tiny_data
+        cfg = TrainConfig(epochs=2, batch_size=10, seed=7)
+        base, pmap = self._quantized(X, T)
+        before = base.apply_precision(pmap)
+        top = before.num_hidden_layers - 1
+        out = retrain_quantized(base, pmap, X, T, cfg, first=top)
+        assert _rbm_bytes(out, range(top)) == _rbm_bytes(before, range(top))
+        assert out.weights[top].tobytes() != before.weights[top].tobytes()
+        # the top RBM's CD is the first to draw from the generator
+        want = base.apply_precision(pmap)
+        data = X
+        for layer in range(top):
+            data = want.hidden_probs(layer, data)
+        ddbn._train_top_rbm(want, data, T, cfg, np.random.default_rng(cfg.seed))
+        assert _parameter_bytes(out) == _parameter_bytes(want)
+        for layer, bits in enumerate(pmap.hidden_frac_bits):
+            np.testing.assert_array_equal(out.weights[layer][:, bits == 0], 0.0)
+            np.testing.assert_array_equal(out.hidden_biases[layer][bits == 0], 0.0)
+            assert not np.signbit(out.weights[layer][:, bits == 0]).any()
+        assert _parameter_bytes(out.apply_precision(pmap)) == _parameter_bytes(out)
+
+
 class TestEvaluate:
     def test_perfect_model(self):
         m = zero_model([4, 2, 3])

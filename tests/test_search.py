@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from approxdbn import search
+from approxdbn import ddbn, search
 from approxdbn.ddbn import DdbnModel, PrecisionMap, TrainConfig, train_ddbn
 from approxdbn.search import (
     InfeasibleConstraint,
@@ -168,6 +168,88 @@ class TestAblations:
         order_b = search._neuron_order(model, False, X, T, rng_b)
         assert sorted(order_a) == sorted(order_b)
         assert order_a != order_b
+
+
+class _ScriptedEvaluator:
+    """Stands in for ``CandidateEvaluator``: a candidate is accepted when
+    every neuron whose budget it changed is still in ``allowed``, and an
+    accepted neuron leaves ``allowed``. The evaluators built for the
+    retrains numbered in ``reverted`` (1-based) accept nothing."""
+
+    allowed, built, reverted = set(), 0, set()
+
+    def __init__(self, model, images, labels):
+        cls = _ScriptedEvaluator
+        self.model, self.rejects = model, cls.built in cls.reverted
+        cls.built += 1
+
+    def accuracy(self, pmap, threshold=None):
+        old = self.model.precision.hidden_frac_bits
+        self.next = pmap
+        self.changed = {(layer, int(i)) for layer, (a, b)
+                        in enumerate(zip(old, pmap.hidden_frac_bits))
+                        for i in np.flatnonzero(a != b)}
+        return 0.0 if self.rejects or not self.changed <= self.allowed else 1.0
+
+    def accept(self):
+        _ScriptedEvaluator.allowed -= self.changed
+        self.model = self.model.apply_precision(self.next)
+
+
+class TestRetrainRule:
+    """Which RBMs a Phase-2 retrain trains, on 12-20-10-5-10: hidden layers 0
+    and 1 hold 30 neurons, so 3 changed budgets are the 10% that make a
+    retrain full."""
+
+    # per iteration, the neurons whose budget drops by one bit; each set's
+    # size is one of level2_sizes(35), so the sweep of that size takes it
+    SCRIPT = [
+        [(0, 0), (0, 1), (0, 2)],   # first retrain: full
+        [(0, 3), (1, 0)],           # 2 of 30 lower neurons: top only
+        [(2, 0), (2, 1)],           # top-layer neurons do not count: top only
+        [(1, 1)],                   # 3 of 30 since the first retrain: full
+        [(0, 0)],                   # 1 since the fourth, reverted, retrain
+        [(1, 2), (1, 3)],           # 3 since the fourth: full
+        [],                         # nothing changes: the search ends
+    ]
+    TRAINED = [[0, 1, "top"], ["top"], ["top"], [0, 1, "top"], ["top"], [0, 1, "top"]]
+
+    def test_lower_rbms_retrain_after_a_tenth_changed(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        X = (rng.random((40, 12)) > 0.5).astype(float)
+        y = rng.integers(0, 10, 40)
+        T = np.eye(10)[y]
+        tcfg = TrainConfig(epochs=1, batch_size=20)
+        model = train_ddbn(X, T, [12, 20, 10, 5, 10], tcfg)
+        model = model.apply_precision(PrecisionMap.uniform(model.hidden_sizes, 4))
+        neurons = [(layer, idx) for layer, n in enumerate(model.hidden_sizes)
+                   for idx in range(n)]
+        script = iter(self.SCRIPT)
+
+        def scripted_order(*args):
+            allowed = next(script)
+            _ScriptedEvaluator.allowed = set(allowed)
+            return allowed + [n for n in neurons if n not in allowed]
+
+        trained = []  # per retrain, the RBMs it trained
+        retrain = search.retrain_quantized
+        train_rbm, train_top = ddbn._train_rbm, ddbn._train_top_rbm
+        monkeypatch.setattr(search, "retrain_quantized", lambda *a: (
+            trained.append([]), retrain(*a))[1])
+        monkeypatch.setattr(ddbn, "_train_rbm", lambda m, layer, *a: (
+            trained[-1].append(layer), train_rbm(m, layer, *a)))
+        monkeypatch.setattr(ddbn, "_train_top_rbm", lambda *a: (
+            trained[-1].append("top"), train_top(*a)))
+        monkeypatch.setattr(search, "_neuron_order", scripted_order)
+        monkeypatch.setattr(search, "CandidateEvaluator", _ScriptedEvaluator)
+        monkeypatch.setattr(_ScriptedEvaluator, "allowed", set())
+        monkeypatch.setattr(_ScriptedEvaluator, "built", 0)
+        monkeypatch.setattr(_ScriptedEvaluator, "reverted", {4})
+        _, trace = search.phase2_greedy(model, SearchConfig(retrain_epochs=1), X, T, X, y,
+                                        1.0, train_config=tcfg)
+        assert trained == self.TRAINED
+        assert [r.event for r in trace].count("retrain") == len(self.TRAINED)
+        assert trace[-1].total_bits == 35 * 4 - sum(map(len, self.SCRIPT))
 
 
 class TestCurve:
