@@ -285,8 +285,9 @@ def cmd_eval(model_path, images_path, labels_path, mode, samples, seed):
     if seed < 0:
         raise ConfigError("--seed must be >= 0")
     model = _load_model(model_path)
-    # a stochastic pass holds samples x (layer width) float64 values per image
-    if mode == "stochastic" and samples * max(model.layer_sizes[1:]) * 8 > np.iinfo(np.intp).max:
+    # a stochastic pass holds, per image, samples float64 uniforms of every
+    # hidden neuron and samples x (layer width) values of each layer
+    if mode == "stochastic" and samples * sum(model.layer_sizes[1:]) * 8 > np.iinfo(np.intp).max:
         raise ConfigError(f"--samples {samples}: the samples of one image pass the "
                           "largest array numpy can address")
     data = ds.load_idx(images_path, labels_path)

@@ -12,18 +12,54 @@ from dataclasses import replace
 
 import numpy as np
 
-from .ddbn import _CHUNK
+from .ddbn import _CHUNK, _exact_layers
 
 
-def per_sample_gradients(model, inputs, targets):
+class PlainLayer0:
+    """The plain (map-free) layer-0 activations of fixed ``inputs``, kept with
+    the layer-0 weights and bias of the model they came from, so that the next
+    model recomputes only the columns whose weights or bias differ. Reuse is
+    exact when every input is 0 or 1 and layer 0's sums are exact under the
+    model's map (``ddbn._exact_layers``), with the parameters on its grid: each
+    kept value is then the exact sum, whatever columns shared its product.
+    Phase 2 keeps one for its training images across criticality orders."""
+
+    def __init__(self, inputs):
+        self.inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+        self.binary = bool(np.isin(self.inputs, (0.0, 1.0)).all())
+        self.a = self.weights = self.bias = None
+
+    def activations(self, model):
+        """``model``'s plain layer-0 activations of the inputs, every row, or
+        None, keeping nothing new, when reuse would not be exact."""
+        if not (self.binary and _exact_layers(model)[0]):
+            return None
+        w, b = model.weights[0], model.hidden_biases[0]
+        if self.a is None or self.a.shape[1] != len(b):
+            self.a, cols = np.empty((len(self.inputs), len(b))), np.arange(len(b))
+        else:
+            cols = np.flatnonzero((w != self.weights).any(axis=0) | (b != self.bias))
+        if len(cols):
+            plain = replace(model, precision=None)
+            for start in range(0, len(self.inputs), _CHUNK):
+                rows = slice(start, start + _CHUNK)
+                self.a[rows, cols] = plain.hidden_probs(0, self.inputs[rows], cols)
+        self.weights, self.bias = w.copy(), b.copy()
+        return self.a
+
+
+def per_sample_gradients(model, inputs, targets, a0=None):
     """Loss derivative w.r.t. every hidden activation, one row per
     sample; returns a list of (B, n_l) arrays, one per hidden layer.
 
     The pass is the model's own mean-field pass with any attached precision
-    map ignored (the parameters are used as stored). The constant factor 2
-    from the squared norm is dropped; rankings are scale-invariant."""
+    map ignored (the parameters are used as stored); ``a0``, if given, is
+    its layer-0 activations of ``inputs``. The constant factor 2 from the
+    squared norm is dropped; rankings are scale-invariant."""
     plain = replace(model, precision=None)
-    activations = plain.forward_hidden(inputs)
+    activations = [plain.hidden_probs(0, inputs) if a0 is None else a0]
+    for layer in range(1, model.num_hidden_layers):
+        activations.append(plain.hidden_probs(layer, activations[-1]))
     ac = plain.class_probs(activations[-1])
     s = (ac - np.atleast_2d(np.asarray(targets, dtype=np.float64))) * ac
     wc = model.class_weights
@@ -34,19 +70,24 @@ def per_sample_gradients(model, inputs, targets):
     return grads
 
 
-def criticality_scores(model, inputs, targets) -> list:
+def criticality_scores(model, inputs, targets, layer0=None) -> list:
     """Per hidden layer, each neuron's score: per-sample derivatives
     averaged over all samples, then the magnitude. Accumulation over
     ``_CHUNK``-row chunks in fixed order keeps the result bitwise
-    deterministic."""
+    deterministic. ``layer0``, a ``PlainLayer0`` of these ``inputs``, gives
+    layer 0's activations where it can; the scores keep their bytes."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if len(inputs) == 0:
         raise ValueError("criticality needs a nonempty sample set")
+    if layer0 is not None and layer0.inputs.shape != inputs.shape:
+        raise ValueError("layer0 keeps the activations of other inputs")
+    a0 = layer0.activations(model) if layer0 is not None else None
     sums = [np.zeros(n) for n in model.hidden_sizes]
     for start in range(0, len(inputs), _CHUNK):
-        grads = per_sample_gradients(
-            model, inputs[start:start + _CHUNK], targets[start:start + _CHUNK])
+        rows = slice(start, start + _CHUNK)
+        grads = per_sample_gradients(model, inputs[rows], targets[rows],
+                                     None if a0 is None else a0[rows])
         for total, g in zip(sums, grads):
             total += g.sum(axis=0)
     return [np.abs(total / len(inputs)) for total in sums]

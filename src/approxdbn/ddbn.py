@@ -256,14 +256,19 @@ class DdbnModel:
 
     def _stochastic_probs(self, rows, samples, rngs):
         """Class probabilities of each row, averaged over ``samples``
-        binary hidden states that row j draws from ``rngs[j]``, one
-        ``(samples, n_l)`` draw per hidden layer."""
-        h = rows
-        for layer in range(self.num_hidden_layers):
-            a = self.hidden_probs(layer, h)
-            a = a.reshape(len(rngs), -1, a.shape[1])  # (images, 1 or samples, n_l)
-            u = np.stack([rng.random((samples, a.shape[2])) for rng in rngs])
-            h = (u < a).astype(np.float64).reshape(-1, a.shape[2])
+        binary hidden states that row j draws from ``rngs[j]``: one call
+        fills the row's uniforms, ``(samples, n_l)`` per hidden layer,
+        first layer first."""
+        u = np.empty((len(rngs), samples * sum(self.hidden_sizes)))
+        for rng, row in zip(rngs, u):
+            rng.random(out=row)
+        h, start = rows, 0
+        for layer, n in enumerate(self.hidden_sizes):
+            # (images, 1 or samples, n_l)
+            a = self.hidden_probs(layer, h).reshape(len(rngs), -1, n)
+            drawn = u[:, start:start + samples * n].reshape(len(rngs), samples, n)
+            start += samples * n
+            h = (drawn < a).astype(np.float64).reshape(-1, n)
         return self.class_probs(h).reshape(len(rngs), samples, -1).mean(axis=1)
 
     # ---- precision -----------------------------------------------------
@@ -331,6 +336,21 @@ def _requantize_layer(model, layer, cols=slice(None)):
     model.visible_biases[layer] = (
         quantize_all(vb, pmap.weight_format(pmap.global_frac_bits)) if layer == 0
         else _quantize_columns(vb, pmap.hidden_frac_bits[layer - 1], pmap))
+
+
+def _exact_layers(model):
+    """Per layer, hidden then class, whether float64 adds its sums on binary
+    images exactly under the model's map, so that no sum depends on the order
+    of its terms or on the rows and columns sharing its product: Q0.a inputs
+    (images: 0) times Qm.b weights need m + a + b + ceil(log2 fan-in) <= 53.
+    All false without a map."""
+    pmap = model.precision
+    if pmap is None:
+        return [False] * (model.num_hidden_layers + 1)
+    b = [int(bits.max()) for bits in pmap.hidden_frac_bits] + [pmap.class_frac_bits]
+    a = [0] + [pmap.activation_format(n).frac_bits for n in b[:-1]]
+    return [pmap.weight_int_bits + a_in + b_w + math.ceil(math.log2(size)) <= 53
+            for a_in, b_w, size in zip(a, b, model.layer_sizes)]
 
 
 def _requantize_class(model):
@@ -519,16 +539,10 @@ class CandidateEvaluator:
                 self.a.append(model.activation(layer, z))
 
     def _exact(self, model):
-        """Whether float64 adds the sums of every layer, hidden and class, exactly,
-        so that no row's result depends on the rows sharing its step: Q0.a inputs
-        (images: 0) times Qm.b weights need m + a + b + ceil(log2 fan-in) <= 53."""
-        pmap = model.precision
-        if not self.binary or pmap is None:
-            return False
-        b = [int(bits.max()) for bits in pmap.hidden_frac_bits] + [pmap.class_frac_bits]
-        a = [0] + [pmap.activation_format(n).frac_bits for n in b[:-1]]
-        return all(pmap.weight_int_bits + a_in + b_w + math.ceil(math.log2(size)) <= 53
-                   for a_in, b_w, size in zip(a, b, model.layer_sizes))
+        """Whether float64 adds the sums of every layer, hidden and class, exactly
+        (``_exact_layers``), so that no row's result depends on the rows sharing
+        its step."""
+        return self.binary and all(_exact_layers(model))
 
     def _hardest_first(self):
         """The accepted model's errors, then its correct rows by ascending margin."""
@@ -557,12 +571,26 @@ class CandidateEvaluator:
                 _requantize_layer(candidate, layer, cols)
         return candidate, changed
 
-    def _recompute(self, candidate, changed, f, rows, new):
+    def _gathered(self, candidate, changed, f):
+        """The weights ``_recompute`` reads in every block, gathered once per
+        candidate: layer f's changed columns and their biases, then the accepted
+        model's rows of layer f + 1 that those columns feed, and layer f + 1's
+        own changed columns and their biases."""
+        cols = changed[f]
+        out = [candidate.weights[f][:, cols], candidate.hidden_biases[f][cols]]
+        if f + 1 < len(self.a):
+            own = changed[f + 1]
+            out += [self.model.weights[f + 1][cols], candidate.weights[f + 1][:, own],
+                    candidate.hidden_biases[f + 1][own]]
+        return out
+
+    def _recompute(self, candidate, changed, f, rows, new, gathered):
         """The candidate's top hidden activations on ``rows``, from layer ``f`` up:
         f's changed columns, layer f + 1 by the change in f, the rest in full. Writes
         each layer's z and a (layer f: its changed columns) into ``new``."""
         cols, below = changed[f], self.a[f - 1] if f else self.images
-        z = candidate.pre_activation(f, below[rows], cols)
+        w, b, *above = gathered
+        z = below[rows] @ w + b
         a = candidate.activation(f, z, cols)
         new[0][0][rows], new[0][1][rows] = z, a
         v = np.array(self.a[f][rows])  # a copy, of a slice too
@@ -570,9 +598,10 @@ class CandidateEvaluator:
         v[:, cols] = a
         for layer in range(f + 1, len(self.a)):
             if layer == f + 1:  # exact sums: the change in f, times the weights it met
-                z = self.z[layer][rows] + delta @ self.model.weights[layer][cols]
+                w_delta, w_own, b_own = above
+                z = self.z[layer][rows] + delta @ w_delta
                 if len(own := changed[layer]):
-                    z[:, own] = candidate.pre_activation(layer, v, own)
+                    z[:, own] = v @ w_own + b_own
             else:
                 z = candidate.pre_activation(layer, v)
             v = candidate.activation(layer, z)
@@ -600,8 +629,9 @@ class CandidateEvaluator:
         f = next((layer for layer, cols in enumerate(changed) if len(cols)), top)
         widths = [len(changed[f])] + candidate.layer_sizes[f + 2:top + 1] if f < top else []
         new = [(np.empty((n, k)), np.empty((n, k))) for k in widths]
+        gathered = self._gathered(candidate, changed, f) if f < top else None
         for rows in blocks:  # slices, or gathers: no permuted copy of the images
-            v = (self._recompute(candidate, changed, f, rows, new) if f < top
+            v = (self._recompute(candidate, changed, f, rows, new, gathered) if f < top
                  else self.a[-1][rows])
             pred = candidate.class_probs(v).argmax(axis=1)
             errors += int((pred != self.labels[rows]).sum())

@@ -111,9 +111,10 @@ def phase1_uniform(model, config, val_images, val_labels):
     return current, trace, baseline_acc
 
 
-def _neuron_order(model, use_criticality, train_images, train_one_hot, rng):
+def _neuron_order(model, use_criticality, train_images, train_one_hot, rng,
+                  layer0=None):
     if use_criticality:
-        scores = crit.criticality_scores(model, train_images, train_one_hot)
+        scores = crit.criticality_scores(model, train_images, train_one_hot, layer0)
         return crit.rank_neurons(scores)
     pooled = [(layer, idx) for layer, n in enumerate(model.hidden_sizes)
               for idx in range(n)]
@@ -161,13 +162,15 @@ def phase2_greedy(model, config, train_images, train_one_hot,
     trace = []
     evaluator = CandidateEvaluator(model, val_images, val_labels)
     reference = None  # lower hidden budgets at the last full retrain
+    # the last order's layer-0 activations: the next recomputes changed columns
+    layer0 = crit.PlainLayer0(train_images) if use_criticality else None
 
     iteration = 0
     while True:
         iteration += 1
         bits_before = evaluator.model.precision.total_hidden_bits()
         order = _neuron_order(evaluator.model, use_criticality, train_images,
-                              train_one_hot, rng)
+                              train_one_hot, rng, layer0)
         for size in level2_sizes(total_neurons):
             candidates = order[:size]
             while True:

@@ -4,11 +4,19 @@ import numpy as np
 import pytest
 
 from approxdbn.criticality import (
+    PlainLayer0,
     criticality_scores,
     per_sample_gradients,
     rank_neurons,
 )
-from approxdbn.ddbn import DdbnModel, PrecisionMap, sigmoid, softmax
+from approxdbn.ddbn import (
+    DdbnModel,
+    PrecisionMap,
+    TrainConfig,
+    retrain_quantized,
+    sigmoid,
+    softmax,
+)
 
 
 def random_model(layer_sizes, seed, scale=1.0):
@@ -249,3 +257,100 @@ class TestRanking:
 
     def test_pools_layers(self):
         assert rank_neurons([np.array([0.9]), np.array([0.1])]) == [(1, 0), (0, 0)]
+
+
+def _cells_at_layer0(monkeypatch):
+    """A list that grows by rows x columns of each ``pre_activation(0, ...)`` call."""
+    cells, pre_activation = [], DdbnModel.pre_activation
+
+    def counting(model, layer, v, cols=slice(None)):
+        out = pre_activation(model, layer, v, cols)
+        if layer == 0:
+            cells.append(out.size)
+        return out
+
+    monkeypatch.setattr(DdbnModel, "pre_activation", counting)
+    return cells
+
+
+def _assert_kept_scores(model, X, T, layer0, cells, columns):
+    """Scores from ``layer0`` byte-equal fresh ones, after recomputing
+    ``columns`` layer-0 columns of every row."""
+    cells.clear()
+    kept = criticality_scores(model, X, T, layer0)
+    assert sum(cells) == len(X) * columns
+    fresh = criticality_scores(model, X, T)
+    assert [s.tobytes() for s in kept] == [s.tobytes() for s in fresh]
+
+
+class TestPlainLayer0:
+    """Phase 2 keeps the plain layer-0 activations of its training images
+    between criticality orders and recomputes only the columns whose
+    weights or bias changed."""
+
+    def test_scripted_sequence_matches_fresh_scores(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        X = (rng.random((2100, 16)) > 0.5).astype(float)  # two _CHUNK chunks
+        T = np.eye(10)[rng.integers(0, 10, len(X))]
+        pmap = PrecisionMap.uniform([8, 6], 6)
+        model = random_model([16, 8, 6, 10], seed=21).apply_precision(pmap)
+        layer0 = PlainLayer0(X)
+        cells = _cells_at_layer0(monkeypatch)
+        _assert_kept_scores(model, X, T, layer0, cells, 8)  # the first: every column
+
+        cut = pmap.copy()
+        cut.hidden_frac_bits[0][[1, 5]] = 2
+        model = model.apply_precision(cut)
+        _assert_kept_scores(model, X, T, layer0, cells, 2)
+
+        cut.hidden_frac_bits[1][[0, 2]] = 0  # above layer 0 only
+        model = model.apply_precision(cut)
+        _assert_kept_scores(model, X, T, layer0, cells, 0)
+
+        biases = list(model.hidden_biases)
+        biases[0] = biases[0].copy()
+        biases[0][3] += 2.0 ** -6  # on the grid: the model stays exact
+        model = replace(model, hidden_biases=biases)
+        _assert_kept_scores(model, X, T, layer0, cells, 1)
+
+        config = TrainConfig(learning_rate=0.5, epochs=1, batch_size=100, seed=3)
+        full = retrain_quantized(model, cut, X, T, config)
+        assert all(not np.array_equal(full.weights[0][:, j], model.weights[0][:, j])
+                   for j in range(8))
+        _assert_kept_scores(full, X, T, layer0, cells, 8)
+
+        top = retrain_quantized(full, cut, X, T, config, first=1)
+        assert top.weights[0] is not full.weights[0]
+        _assert_kept_scores(top, X, T, layer0, cells, 0)
+
+    @pytest.mark.parametrize("case,reused", [
+        ("binary", True),
+        ("grayscale", False),
+        ("no_map", False),
+        ("budget_35", True),    # layer 0: 8 + 35 + ceil(log2 784) = 53 bits
+        ("budget_36", False),
+    ])
+    def test_every_column_unless_exact(self, monkeypatch, case, reused):
+        """Grayscale inputs, a model without a map and a layer-0 budget past
+        the exact bound recompute every column of every order."""
+        rng = np.random.default_rng(22)
+        width = 784 if case.startswith("budget") else 16
+        X = rng.random((30, width))
+        if case != "grayscale":
+            X = (X > 0.5).astype(float)
+        T = np.eye(10)[rng.integers(0, 10, len(X))]
+        model = random_model([width, 5, 4, 10], seed=22)
+        if case != "no_map":
+            budget = int(case[-2:]) if case.startswith("budget") else 6
+            model = model.apply_precision(PrecisionMap.uniform([5, 4], budget))
+        layer0 = PlainLayer0(X)
+        cells = _cells_at_layer0(monkeypatch)
+        _assert_kept_scores(model, X, T, layer0, cells, 5)
+        _assert_kept_scores(model, X, T, layer0, cells, 0 if reused else 5)
+        assert (layer0.a is not None) == reused
+
+    def test_rejects_other_inputs(self):
+        model = random_model([6, 4, 3, 10], seed=23)
+        X = np.ones((4, 6))
+        with pytest.raises(ValueError, match="other inputs"):
+            criticality_scores(model, X[:3], np.eye(10)[:3], PlainLayer0(X))

@@ -562,7 +562,9 @@ def test_layer_cache_matches_fresh_pass(seed, hidden, frac_bits, activation_frac
 def test_top_layer_candidate_recomputes_only_its_columns(monkeypatch):
     """A candidate that changes only the top hidden layer reads layer 0 from the
     cache (no ``hidden_probs(0, ...)``) and computes only the changed columns of
-    the top layer, before the class layer."""
+    the top layer, before the class layer: their sums come from weight columns
+    gathered once per candidate, not from ``pre_activation``, and ``activation``
+    sees only those columns."""
     accepted, _, X, y = _hopeless_case()
     pmap = accepted.precision.copy()
     pmap.hidden_frac_bits[-1][[1, 4]] -= 2
@@ -584,7 +586,7 @@ def test_top_layer_candidate_recomputes_only_its_columns(monkeypatch):
     for threshold in (None, 0.0):  # file order; hardest first, every block
         calls.clear()
         assert evaluator.accuracy(pmap, threshold) == expected
-        assert set(calls) == {("pre_activation", 1, 2), ("activation", 1, 2)}
+        assert set(calls) == {("activation", 1, 2)}
     evaluator.accept()
     monkeypatch.undo()
     _assert_cache_fresh(evaluator, X)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from approxdbn import ddbn, search
+from approxdbn import criticality, ddbn, search
 from approxdbn.ddbn import DdbnModel, PrecisionMap, TrainConfig, train_ddbn
 from approxdbn.search import (
     InfeasibleConstraint,
@@ -168,6 +168,31 @@ class TestAblations:
         order_b = search._neuron_order(model, False, X, T, rng_b)
         assert sorted(order_a) == sorted(order_b)
         assert order_a != order_b
+
+
+def test_phase2_orders_from_kept_layer0(tiny_setup, monkeypatch):
+    """Phase 2 hands every criticality order its kept layer-0 activations, and
+    the search gives the bytes of one whose orders recompute every column."""
+    model, X, T, y, tcfg = tiny_setup
+    current = model.apply_precision(PrecisionMap.uniform(model.hidden_sizes, 6))
+    baseline = ddbn.evaluate_accuracy(model, X, y)
+    cfg = SearchConfig(max_relative_accuracy_loss=0.10, retrain_epochs=1)
+    kept = []
+    activations = criticality.PlainLayer0.activations
+    monkeypatch.setattr(criticality.PlainLayer0, "activations",
+                        lambda self, m: kept.append(activations(self, m)) or kept[-1])
+    runs = [search.phase2_greedy(current, cfg, X, T, X, y, baseline, train_config=tcfg)]
+    # one order per iteration, and one more whose sweeps change nothing
+    assert len(kept) == runs[0][1][-1].iteration + 1 > 2
+    assert all(a is not None for a in kept)
+    monkeypatch.setattr(criticality.PlainLayer0, "activations", lambda self, m: None)
+    runs.append(search.phase2_greedy(current, cfg, X, T, X, y, baseline,
+                                     train_config=tcfg))
+    (a, trace_a), (b, trace_b) = runs
+    assert [r.to_json() for r in trace_a] == [r.to_json() for r in trace_b]
+    assert all(p.tobytes() == q.tobytes() for p, q in zip(
+        [*a.weights, *a.hidden_biases, a.class_weights],
+        [*b.weights, *b.hidden_biases, b.class_weights]))
 
 
 class _ScriptedEvaluator:
