@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .ddbn import _CHUNK, _exact_layers
+from .ddbn import _CHUNK, _exact_layers, check_finite
 
 
 class PlainLayer0:
@@ -80,6 +80,8 @@ def criticality_scores(model, inputs, targets, layer0=None) -> list:
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if len(inputs) == 0:
         raise ValueError("criticality needs a nonempty sample set")
+    check_finite(inputs, "inputs")
+    check_finite(targets, "targets")
     if layer0 is not None and layer0.inputs.shape != inputs.shape:
         raise ValueError("layer0 keeps the activations of other inputs")
     a0 = layer0.activations(model) if layer0 is not None else None

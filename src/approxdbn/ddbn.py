@@ -56,6 +56,12 @@ def as_inputs(x, width, layer_name):
     return x
 
 
+def check_finite(x, name):
+    """Raise ``ValueError`` naming ``name`` if ``x`` holds a NaN or an infinity."""
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite: found NaN or infinity")
+
+
 @dataclass
 class PrecisionMap:
     """Fractional-bit budgets: one entry per hidden neuron (governs that
@@ -72,8 +78,11 @@ class PrecisionMap:
                                     # Q0.64 activations
 
     def __post_init__(self):
-        top = max([self.class_frac_bits, self.global_frac_bits]
-                  + [int(np.max(b, initial=0)) for b in self.hidden_frac_bits])
+        budgets = [self.class_frac_bits, self.global_frac_bits]
+        low = min(budgets + [int(np.min(b, initial=0)) for b in self.hidden_frac_bits])
+        if low < 0:
+            raise ValueError(f"bit budget {low}: budgets must be nonnegative")
+        top = max(budgets + [int(np.max(b, initial=0)) for b in self.hidden_frac_bits])
         try:  # every budget's formats fit 64 bits
             self.weight_format(top), self.activation_format(top)
         except ValueError as e:
@@ -125,11 +134,14 @@ class PrecisionMap:
         return int(sum(len(b) for b in self.hidden_frac_bits))
 
     def check_monotone_update(self, new):
-        """Guard used by the search: budgets only ever decrease."""
-        for old_b, new_b in zip(self.hidden_frac_bits, new.hidden_frac_bits):
-            if np.any(new_b > old_b):
-                raise ValueError("bit-length increase is not allowed")
-        if new.class_frac_bits > self.class_frac_bits:
+        """Raise ``ValueError`` unless ``new`` is a cut of this map: the same
+        fields and hidden neurons, each with a lower or equal budget."""
+        def fixed(m):  # every field but the hidden budgets' values
+            return (m.class_frac_bits, m.global_frac_bits, m.weight_int_bits,
+                    m.activation_frac_bits, [np.shape(b) for b in m.hidden_frac_bits])
+        if fixed(new) != fixed(self):
+            raise ValueError("a cut changes only hidden budgets")
+        if any(np.any(c > o) for c, o in zip(new.hidden_frac_bits, self.hidden_frac_bits)):
             raise ValueError("bit-length increase is not allowed")
 
 
@@ -233,6 +245,7 @@ class DdbnModel:
         to a run one image at a time; without a precision map it can
         differ in the last bits, as mean-field chunking can."""
         v = np.asarray(v, dtype=np.float64)
+        check_finite(v, "images")
         single = v.ndim == 1
         v = np.atleast_2d(v)
         if mode not in ("mean_field", "stochastic"):
@@ -465,6 +478,8 @@ def train_ddbn(images, one_hot, layer_sizes, config) -> DdbnModel:
     top-RBM training; deterministic for a fixed config seed."""
     if len(images) == 0:
         raise ValueError("training set is empty")
+    check_finite(images, "images")
+    check_finite(one_hot, "one_hot")
     model = DdbnModel.random_init(layer_sizes, seed=config.seed)
     _train_stack(model, images, one_hot, config)
     model.metadata["train_seed"] = config.seed
@@ -483,6 +498,8 @@ def retrain_quantized(model, pmap, images, one_hot, config, first=0) -> DdbnMode
     parameters are re-quantized after every update; the update steps
     themselves accumulate in full-precision masters so that coarse
     formats do not swallow small gradients. Pruned neurons stay at zero."""
+    check_finite(images, "images")
+    check_finite(one_hot, "one_hot")
     out = model.apply_precision(pmap)
     _train_stack(out, images, one_hot, config, first)
     return out
@@ -507,42 +524,38 @@ def confusion_counts(model, images, labels, mode="mean_field",
 
 
 class CandidateEvaluator:
-    """Mean-field accuracy of the accepted ``model`` under maps that change a few
-    neuron budgets; ``accept`` commits the last one. A candidate requantizes only
-    the columns whose budget changed. When float64 adds every layer's sums exactly
-    (``_exact``), the accepted model's activations ``a[l]`` of every hidden layer
-    and, above layer 0, its pre-activations ``z[l]`` are kept: a candidate that
-    changes only hidden budgets and stays exact recomputes its lowest changed
-    layer's changed columns, adds their change to the next layer's ``z`` and walks
-    the layers above in full. Under a threshold, that walk takes the rows hardest
-    first, ``_BLOCK`` at a time, and stops once it fails. Any other candidate is
-    walked from the images, as ``classify`` walks them."""
+    """Mean-field accuracy of the accepted ``model`` under cuts of its map, maps
+    that lower a few hidden budgets; ``accept`` commits the last one. A candidate
+    requantizes only the columns whose budget changed. When float64 adds every
+    layer's sums exactly, the accepted model's activations ``a[l]`` of every hidden
+    layer and, above layer 0, its pre-activations ``z[l]`` are kept. A cut keeps
+    the sums exact, so a candidate then recomputes its lowest changed layer's
+    changed columns, adds their change to the next layer's ``z`` and walks the
+    layers above in full. Under a threshold, that walk takes the rows hardest
+    first, ``_BLOCK`` at a time, and stops once it fails. With nothing kept, a
+    candidate is walked from the images, as ``classify`` walks them."""
 
     def __init__(self, model, images, labels):
+        if model.precision is None:
+            raise ValueError("the evaluator needs a model with a precision map")
         self.images = np.asarray(images, dtype=np.float64)
+        check_finite(self.images, "images")
         self.labels = np.asarray(labels)
         self.binary = bool(np.isin(self.images, (0.0, 1.0)).all())
-        if model.precision is not None:
-            # candidates requantize only the columns they change, which needs
-            # the accepted model on its grid; the identity if it already is
-            model = model.apply_precision(model.precision)
         self._pending = None
-        self._keep(model)
+        # candidates requantize only the columns they change, which needs the
+        # accepted model on its grid; the identity if it already is
+        self._keep(model.apply_precision(model.precision))
 
     def _keep(self, model):
-        """Accept ``model``, and keep every hidden layer if it is exact."""
+        """Accept ``model``, and keep every hidden layer if float64 adds every layer's
+        sums exactly (``_exact_layers``): no row's result then depends on its step."""
         self.model, self._order, self.a, self.z = model, None, [], []
-        if self._exact(model):
+        if self.binary and all(_exact_layers(model)):
             for layer in range(model.num_hidden_layers):
                 z = model.pre_activation(layer, self.a[-1] if layer else self.images)
                 self.z.append(z if layer else None)  # layer 0's inputs never change
                 self.a.append(model.activation(layer, z))
-
-    def _exact(self, model):
-        """Whether float64 adds the sums of every layer, hidden and class, exactly
-        (``_exact_layers``), so that no row's result depends on the rows sharing
-        its step."""
-        return self.binary and all(_exact_layers(model))
 
     def _hardest_first(self):
         """The accepted model's errors, then its correct rows by ascending margin."""
@@ -554,14 +567,11 @@ class CandidateEvaluator:
         return self._order
 
     def _candidate(self, pmap):
-        """The accepted model under ``pmap`` and the neurons of each layer whose
-        budget changed. As the accepted model is on its grid, requantizing the
-        changed neurons' columns gives ``apply_precision``'s bytes; that needs
-        the same map apart from the hidden budgets."""
+        """The accepted model under ``pmap``, a cut of its map, and the neurons of
+        each layer whose budget changed. As the accepted model is on its grid,
+        requantizing the changed neurons' columns gives ``apply_precision``'s bytes."""
         old = self.model.precision
-        if old is None or (replace(old, hidden_frac_bits=[])
-                           != replace(pmap, hidden_frac_bits=[])):
-            return self.model.apply_precision(pmap), None
+        old.check_monotone_update(pmap)
         changed = [np.flatnonzero(new != was) for new, was
                    in zip(pmap.hidden_frac_bits, old.hidden_frac_bits)]
         candidate = self.model._sharing_arrays(pmap)
@@ -571,26 +581,12 @@ class CandidateEvaluator:
                 _requantize_layer(candidate, layer, cols)
         return candidate, changed
 
-    def _gathered(self, candidate, changed, f):
-        """The weights ``_recompute`` reads in every block, gathered once per
-        candidate: layer f's changed columns and their biases, then the accepted
-        model's rows of layer f + 1 that those columns feed, and layer f + 1's
-        own changed columns and their biases."""
-        cols = changed[f]
-        out = [candidate.weights[f][:, cols], candidate.hidden_biases[f][cols]]
-        if f + 1 < len(self.a):
-            own = changed[f + 1]
-            out += [self.model.weights[f + 1][cols], candidate.weights[f + 1][:, own],
-                    candidate.hidden_biases[f + 1][own]]
-        return out
-
-    def _recompute(self, candidate, changed, f, rows, new, gathered):
+    def _recompute(self, candidate, changed, f, rows, new):
         """The candidate's top hidden activations on ``rows``, from layer ``f`` up:
         f's changed columns, layer f + 1 by the change in f, the rest in full. Writes
         each layer's z and a (layer f: its changed columns) into ``new``."""
         cols, below = changed[f], self.a[f - 1] if f else self.images
-        w, b, *above = gathered
-        z = below[rows] @ w + b
+        z = below[rows] @ candidate.weights[f][:, cols] + candidate.hidden_biases[f][cols]
         a = candidate.activation(f, z, cols)
         new[0][0][rows], new[0][1][rows] = z, a
         v = np.array(self.a[f][rows])  # a copy, of a slice too
@@ -598,10 +594,10 @@ class CandidateEvaluator:
         v[:, cols] = a
         for layer in range(f + 1, len(self.a)):
             if layer == f + 1:  # exact sums: the change in f, times the weights it met
-                w_delta, w_own, b_own = above
-                z = self.z[layer][rows] + delta @ w_delta
+                z = self.z[layer][rows] + delta @ self.model.weights[layer][cols]
                 if len(own := changed[layer]):
-                    z[:, own] = v @ w_own + b_own
+                    z[:, own] = (v @ candidate.weights[layer][:, own]
+                                 + candidate.hidden_biases[layer][own])
             else:
                 z = candidate.pre_activation(layer, v)
             v = candidate.activation(layer, z)
@@ -609,13 +605,14 @@ class CandidateEvaluator:
         return v
 
     def accuracy(self, pmap, threshold=None):
-        """Accuracy of the accepted model under ``pmap``, a candidate that ``accept``
-        then commits. Below a ``threshold`` it may return an upper bound, also below
-        it, and leave nothing to accept."""
+        """Accuracy of the accepted model under ``pmap``, a cut of its map that
+        ``accept`` then commits; any other map raises ``ValueError``. Below a
+        ``threshold`` it may return an upper bound, also below it, and leave nothing
+        to accept."""
         self._pending = None  # frees a rejected candidate before the next
         candidate, changed = self._candidate(pmap)
         n, errors = len(self.labels), 0
-        if not (self.a and changed is not None and self._exact(candidate)):
+        if not self.a:
             self._pending = (candidate, None)
             pred = candidate.mean_field_probs(self.images).argmax(axis=1)
             return int((pred == self.labels).sum()) / n
@@ -629,9 +626,8 @@ class CandidateEvaluator:
         f = next((layer for layer, cols in enumerate(changed) if len(cols)), top)
         widths = [len(changed[f])] + candidate.layer_sizes[f + 2:top + 1] if f < top else []
         new = [(np.empty((n, k)), np.empty((n, k))) for k in widths]
-        gathered = self._gathered(candidate, changed, f) if f < top else None
         for rows in blocks:  # slices, or gathers: no permuted copy of the images
-            v = (self._recompute(candidate, changed, f, rows, new, gathered) if f < top
+            v = (self._recompute(candidate, changed, f, rows, new) if f < top
                  else self.a[-1][rows])
             pred = candidate.class_probs(v).argmax(axis=1)
             errors += int((pred != self.labels[rows]).sum())
@@ -759,6 +755,9 @@ def load_model(path) -> DdbnModel:
         metadata = json.loads(r.take(meta_len).decode())
     except ValueError as e:  # not UTF-8, or not JSON
         raise ModelFileError(f"{path}: bad metadata: {e}") from e
+    if not isinstance(metadata, dict):
+        raise ModelFileError(f"{path}: bad metadata: a JSON object is needed, "
+                             f"got {type(metadata).__name__}")
     if r.pos != len(r.data):
         raise ModelFileError(
             f"{path}: {len(r.data) - r.pos} unexpected bytes before the checksum")

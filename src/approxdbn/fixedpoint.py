@@ -67,16 +67,12 @@ def quantize_grid(values, scale, lo, hi):
     values = np.asarray(values, dtype=np.float64)
     out = np.maximum(values, lo, out=np.empty_like(values))
     np.minimum(out, hi, out=out)
-    signed = np.less(lo, 0).any()  # else x >= +0.0 here
-    if signed:  # sign(x) * floor(|x| * scale + 0.5); -0.0 is not below 0
-        sign = 1 - 2 * np.less(out, 0).view(np.int8)  # int8: 1/8 of a float array
-        np.abs(out, out=out)
     out *= scale
-    out += 0.5
-    np.floor(out, out=out)
-    if signed:
-        out *= sign
-        out += 0.0  # one zero: a negative that rounds to 0 is -0.0 until here
+    # trunc(x + sign(x) / 2) is sign(x) * floor(|x| + 1/2), as IEEE rounding is
+    # symmetric; += 0.0 gives the one zero: a value that rounds to 0 may be -0.0
+    out += np.copysign(0.5, out)
+    np.trunc(out, out=out)
+    out += 0.0
     out *= 1.0 / scale  # exact for a power of two
     # rounding can pass hi (Q8.46: hi * scale + 0.5 rounds to 2^53), never lo
     np.minimum(out, hi, out=out)

@@ -178,7 +178,6 @@ def phase2_greedy(model, config, train_images, train_one_hot,
                 pmap_next = _reduce_candidates(pmap, candidates)
                 if pmap_next is None:
                     break
-                pmap.check_monotone_update(pmap_next)
                 acc = evaluator.accuracy(pmap_next, threshold)
                 if acc < threshold:
                     break
@@ -196,16 +195,13 @@ def phase2_greedy(model, config, train_images, train_one_hot,
             first = _lowest_retrained_layer(pmap, reference)
             if first == 0:  # kept or reverted
                 reference = [bits.copy() for bits in pmap.hidden_frac_bits[:-1]]
-            retrained_eval = CandidateEvaluator(
+            retrained = CandidateEvaluator(
                 retrain_quantized(current, pmap, train_images, train_one_hot,
                                   retrain_config, first), val_images, val_labels)
             # the unchanged map: each model's own accuracy, from its evaluator
-            acc = retrained_eval.accuracy(pmap)
-            if acc >= threshold:
-                retrained_eval.accept()
-                evaluator = retrained_eval
-            else:  # keep pre-retrain parameters
-                acc = evaluator.accuracy(pmap)
+            if retrained.accuracy(pmap) >= threshold:  # else keep pre-retrain parameters
+                evaluator = retrained
+            acc = evaluator.accuracy(pmap)
             trace.append(TraceRecord("phase2", iteration, "retrain",
                                      acc / baseline_acc,
                                      pmap.total_hidden_bits()))

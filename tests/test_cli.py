@@ -415,6 +415,8 @@ def _write_bad_model(path, fault):
         m.weights[0][3, 1] = np.nan
     if fault == "off-grid":  # one ulp above a Q8.4 value
         m.weights[0][3, 1] = np.nextafter(m.weights[0][3, 1], np.inf)
+    if fault == "metadata-list":  # valid JSON, but not an object
+        m.metadata = [1, 2]
     ddbn.save_model(m, path)
     if fault == "trailing":
         blob = path.read_bytes()[:-4] + b"\0\0"
@@ -423,13 +425,14 @@ def _write_bad_model(path, fault):
 
 @pytest.mark.parametrize("fault", ["trailing", "budget", "nan", "off-grid",
                                    "input-width", "classes", "zero-width",
-                                   "huge-sizes"])
+                                   "huge-sizes", "metadata-list"])
 def test_malformed_model_exits_3(workspace, capsys, fault):
     tmp, cfg, config = workspace
     model = tmp / "bad_model.bin"
     _write_bad_model(model, fault)
     expected = ["bad_model.bin"] + {"huge-sizes": ["truncated"],
-                                    "off-grid": ["off its precision map"]}.get(fault, [])
+                                    "off-grid": ["off its precision map"],
+                                    "metadata-list": ["bad metadata"]}.get(fault, [])
     assert cli.main(["eval", "--model", str(model), "--images", config["test_images"],
                      "--labels", config["test_labels"]]) == cli.EXIT_DATA
     err = capsys.readouterr().err

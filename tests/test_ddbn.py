@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from approxdbn import ddbn
+from approxdbn.criticality import criticality_scores
 from approxdbn.ddbn import (
     DdbnModel,
     ModelFileError,
@@ -384,6 +385,36 @@ class TestEvaluate:
             evaluate_accuracy(zero_model([4, 3, 10]), np.zeros((0, 4)), np.zeros(0))
 
 
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+@pytest.mark.parametrize("call,name", [
+    ("classify", "images"), ("stochastic", "images"), ("evaluate_accuracy", "images"),
+    ("confusion_counts", "images"), ("evaluator", "images"),
+    ("criticality", "inputs"), ("criticality", "targets"),
+    ("train", "images"), ("train", "one_hot"), ("retrain", "images"),
+    ("retrain", "one_hot"),
+])
+def test_non_finite_input_raises(tiny_data, call, name, value):
+    """One non-finite value fails the call loudly, naming the input, instead of
+    quietly changing its result."""
+    X, T, y = (a.copy() for a in tiny_data)
+    (X if name in ("images", "inputs") else T)[3, 2] = value
+    model = DdbnModel.random_init([12, 5, 4, 10], seed=0)
+    model = model.apply_precision(PrecisionMap.uniform([5, 4], 6))
+    config = TrainConfig(epochs=1, batch_size=10)
+    calls = {
+        "classify": lambda: model.classify(X),
+        "stochastic": lambda: model.classify(X, "stochastic"),
+        "evaluate_accuracy": lambda: evaluate_accuracy(model, X, y),
+        "confusion_counts": lambda: ddbn.confusion_counts(model, X, y),
+        "evaluator": lambda: ddbn.CandidateEvaluator(model, X, y),
+        "criticality": lambda: criticality_scores(model, X, T),
+        "train": lambda: train_ddbn(X, T, [12, 5, 4, 10], config),
+        "retrain": lambda: retrain_quantized(model, model.precision, X, T, config),
+    }
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        calls[call]()
+
+
 class TestQuantizedInference:
     def test_activation_bounds_and_probability_sums(self, tiny_data):
         X, T, _ = tiny_data
@@ -406,6 +437,15 @@ class TestQuantizedInference:
         pmap.hidden_frac_bits[1][0] = 57
         with pytest.raises(ValueError, match="bit budget 57"):
             DdbnModel.random_init([6, 4, 3, 10], seed=0).apply_precision(pmap)
+
+    @pytest.mark.parametrize("hidden,class_bits,global_bits", [
+        ([[-2, 3, 3, 3, 3], [3] * 4], 3, 3),
+        ([[3] * 5, [3] * 4], -1, 3),
+        ([[3] * 5, [3] * 4], 3, -1),
+    ])
+    def test_negative_budget_rejected(self, hidden, class_bits, global_bits):
+        with pytest.raises(ValueError, match="nonnegative"):
+            PrecisionMap([np.array(b) for b in hidden], class_bits, global_bits)
 
     def test_requantization_is_noop(self, tiny_data):
         X, T, _ = tiny_data

@@ -202,3 +202,50 @@ def test_quantizer_never_writes_into_its_input(writeable):
             quantize_all(x, Q8_8), quantize_grid(x, 4.0, -1.0, 1.0)]
     assert x.tobytes() == before
     assert not any(np.shares_memory(out, x) for out in outs)
+
+
+def _sign_magnitude_grid(values, scale, lo, hi):
+    """``quantize_grid`` as it rounded before one formula served both signs, kept
+    as a reference oracle: sign(x) * floor(|x| * scale + 0.5) when some column is
+    signed, else floor(x * scale + 0.5). It clears the sign of a NaN in a signed
+    column, which ``quantize_grid`` need not."""
+    values = np.asarray(values, dtype=np.float64)
+    out = np.minimum(np.maximum(values, lo), hi)
+    signed = np.less(lo, 0).any()
+    if signed:
+        sign = np.where(np.less(out, 0), -1.0, 1.0)
+        out = np.abs(out)
+    out = np.floor(out * scale + 0.5)
+    if signed:
+        out = out * sign + 0.0
+    out = np.minimum(out * (1.0 / scale), hi)
+    return np.where(np.equal(lo, hi), 0.0, out)
+
+
+# Q8.46's hi rounds up to 128 before the last clip; Q0.64's hi is 1.0 in float64
+ROUNDING_FORMATS = [FixedPointFormat(True, 8, n) for n in (0, 1, 3, 8, 46, 56)] + [
+    FixedPointFormat(True, 1, 1), FixedPointFormat(True, 0, 0)] + [
+    FixedPointFormat(False, 0, n) for n in (1, 8, 64)]
+
+
+def _rounding_cases(fmt, rng):
+    """+-(k + 1/2) steps (ties), +-0.0, NaN, +-inf, both bounds and values just
+    past them, and random values, for ``fmt``."""
+    step, lo, hi = fmt.step, fmt.min_value, fmt.max_value
+    ties = (np.arange(-200, 200) + 0.5) * step
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, lo, hi, -hi, hi + step / 2,
+               lo - step / 2, np.nextafter(hi, np.inf), np.nextafter(lo, -np.inf)]
+    return np.concatenate([ties, -ties, special, 200 * rng.standard_normal(100),
+                           rng.uniform(-4 * step, 4 * step, 100)])
+
+
+def test_rounding_bytes_match_sign_magnitude_oracle():
+    rng = np.random.default_rng(13)
+    bounds = [(2.0 ** f.frac_bits, f.min_value, f.max_value) for f in ROUNDING_FORMATS]
+    columns = [_rounding_cases(f, rng) for f in ROUNDING_FORMATS]
+    for fmt, x, b in zip(ROUNDING_FORMATS, columns, bounds):
+        assert quantize_grid(x, *b).tobytes() == _sign_magnitude_grid(x, *b).tobytes(), fmt
+    # every format at once, one column each, as a layer of mixed budgets
+    x, per_column = np.stack(columns, axis=1), [np.array(b) for b in zip(*bounds)]
+    assert (quantize_grid(x, *per_column).tobytes()
+            == _sign_magnitude_grid(x, *per_column).tobytes())

@@ -277,10 +277,10 @@ def _rows_at_layer0(monkeypatch):
     ("no_map", False),
 ])
 def test_candidate_evaluator_fallback(monkeypatch, case, exact0):
-    """Only a model whose every layer is exact keeps its hidden layers; any other
-    candidate is walked from the images. An exact layer 0 (``exact0``) is not
-    enough: budget_35's layer 1 needs 8 + 35 + 35 + 3 bits. The model without a
-    map keeps them once it accepts its first, exact, candidate."""
+    """Only a model whose every layer is exact keeps its hidden layers; with
+    nothing kept, each of two successive cuts is walked from the images. An exact
+    layer 0 (``exact0``) is not enough: budget_35's layer 1 needs 8 + 35 + 35 + 3
+    bits. A model without a map has no cuts: the evaluator rejects it."""
     rng = np.random.default_rng(3)
     width = 784 if case.startswith("budget") else 16
     model = _random_model([width, 5, 4, 10], rng)
@@ -288,9 +288,14 @@ def test_candidate_evaluator_fallback(monkeypatch, case, exact0):
     if case != "grayscale":
         X = (X > 0.5).astype(float)
     y = rng.integers(0, 10, len(X))
+    if case == "no_map":
+        with pytest.raises(ValueError, match="precision map"):
+            CandidateEvaluator(model, X, y)
+        return
     pmap = PrecisionMap.uniform([5, 4], int(case[-2:]) if width == 784 else 6)
-    accepted = model if case == "no_map" else model.apply_precision(pmap)
-    maps = [_cut(pmap, rng, count, 2) for count in (1, 3)]
+    accepted = model.apply_precision(pmap)
+    maps = [_cut(pmap, rng, 1, 2)]
+    maps.append(_cut(maps[0], rng, 3, 2))
     expected, candidate = [], accepted
     for pmap_next in maps:
         candidate = candidate.apply_precision(pmap_next)
@@ -301,17 +306,20 @@ def test_candidate_evaluator_fallback(monkeypatch, case, exact0):
     for pmap_next, acc in zip(maps, expected):
         assert evaluator.accuracy(pmap_next) == acc
         evaluator.accept()
-    walked = {"binary": 0, "no_map": 1}.get(case, 2)  # candidates walked from the images
+    walked = 0 if case == "binary" else 2  # candidates walked from the images
     assert rows == [len(X)] * walked
     assert len(evaluator.a) == (0 if walked == 2 else 2)
     monkeypatch.undo()
     _assert_cache_fresh(evaluator, X)
     # with the top hidden layer pruned, every layer is exact exactly when layer 0 is
-    if accepted.precision is not None:
-        pruned = pmap.copy()
-        pruned.hidden_frac_bits[-1][:] = 0
-        accepted = accepted.apply_precision(pruned)
-    assert evaluator._exact(accepted) == exact0
+    pruned = pmap.copy()
+    pruned.hidden_frac_bits[-1][:] = 0
+    assert _exact(evaluator, accepted.apply_precision(pruned)) == exact0
+
+
+def _exact(evaluator, model):
+    """Whether the evaluator keeps every hidden layer of ``model`` once accepted."""
+    return evaluator.binary and all(ddbn._exact_layers(model))
 
 
 def _assert_cache_fresh(evaluator, X):
@@ -320,7 +328,7 @@ def _assert_cache_fresh(evaluator, X):
     byte-equals a fresh pass of the accepted model."""
     model = evaluator.model
     fresh = model.forward_hidden(X)
-    assert len(evaluator.a) == (model.num_hidden_layers if evaluator._exact(model) else 0)
+    assert len(evaluator.a) == (model.num_hidden_layers if _exact(evaluator, model) else 0)
     for layer, a in enumerate(evaluator.a):
         assert a.tobytes() == fresh[layer].tobytes()
         if layer:
@@ -387,9 +395,9 @@ def test_accept_needs_a_fully_evaluated_candidate():
 
 
 def test_accepted_exact_cut_keeps_every_layer(monkeypatch):
-    """An evaluator that keeps nothing rebuilds its cache when it accepts a candidate
-    whose every layer, the class layer too, is exact, and drops it again for a
-    candidate whose raised budget makes layer 0 inexact."""
+    """An evaluator that keeps nothing rebuilds its cache when it accepts a cut
+    whose every layer, the class layer too, is exact. A map that raises a budget
+    is no cut: it raises ``ValueError`` and leaves the cache as it was."""
     rng = np.random.default_rng(5)
     model = _random_model([784, 5, 4, 10], rng)
     X = (rng.random((40, 784)) > 0.5).astype(float)
@@ -405,7 +413,7 @@ def test_accepted_exact_cut_keeps_every_layer(monkeypatch):
     raised = hidden_4.copy()
     raised.hidden_frac_bits[0][2] = 40
     rows = _rows_at_layer0(monkeypatch)
-    for pmap_next, kept in ((hidden_8, 0), (hidden_4, 2), (raised, 0)):
+    for pmap_next, kept in ((hidden_8, 0), (hidden_4, 2)):
         expected = evaluate_accuracy(evaluator.model.apply_precision(pmap_next), X, y)
         rows.clear()
         assert evaluator.accuracy(pmap_next) == expected
@@ -413,29 +421,38 @@ def test_accepted_exact_cut_keeps_every_layer(monkeypatch):
         evaluator.accept()
         assert len(evaluator.a) == kept
         _assert_cache_fresh(evaluator, X)
+    with pytest.raises(ValueError, match="increase"):
+        evaluator.accuracy(raised)
+    with pytest.raises(ValueError, match="no fully evaluated candidate"):
+        evaluator.accept()
+    assert all(map(np.array_equal, evaluator.model.precision.hidden_frac_bits,
+                   hidden_4.hidden_frac_bits))
+    _assert_cache_fresh(evaluator, X)
 
 
 def test_accepted_class_cut_rebuilds_a_fresh_cache(monkeypatch):
-    """A candidate that also cuts the class budget is walked from the images; once
-    accepted, the evaluator keeps fresh arrays of every hidden layer, which the
-    next hidden-budget candidate reads instead of the images."""
+    """A map that also cuts the class budget is no cut: it raises ``ValueError``.
+    An evaluator built for the model under that map keeps fresh arrays of every
+    hidden layer, which its next hidden-budget candidate reads instead of the
+    images."""
     accepted, _, X, y = _hopeless_case()
     evaluator = CandidateEvaluator(accepted, X, y)
-    stale = evaluator.a[0]
     pmap = accepted.precision.copy()
     pmap.class_frac_bits = 3
     pmap.hidden_frac_bits[0][[0, 5]] -= 2
     hidden = pmap.copy()
     hidden.hidden_frac_bits[1][3] = 0
+    with pytest.raises(ValueError, match="only hidden budgets"):
+        evaluator.accuracy(pmap)
+    evaluator = CandidateEvaluator(accepted.apply_precision(pmap), X, y)
+    assert len(evaluator.a) == 2
+    _assert_cache_fresh(evaluator, X)
+    expected = evaluate_accuracy(evaluator.model.apply_precision(hidden), X, y)
     rows = _rows_at_layer0(monkeypatch)
-    for pmap_next, walked in ((pmap, [len(X)]), (hidden, [])):
-        expected = evaluate_accuracy(evaluator.model.apply_precision(pmap_next), X, y)
-        rows.clear()
-        assert evaluator.accuracy(pmap_next) == expected
-        assert rows == walked
-        evaluator.accept()
-        assert len(evaluator.a) == 2 and evaluator.a[0] is not stale
-        _assert_cache_fresh(evaluator, X)
+    assert evaluator.accuracy(hidden) == expected
+    assert rows == []
+    evaluator.accept()
+    _assert_cache_fresh(evaluator, X)
 
 
 @settings(max_examples=30, deadline=None)
@@ -494,8 +511,8 @@ def test_early_rejection_matches_full_evaluation(seed, hidden, frac_bits, steps)
 def test_candidate_bytes_match_apply_precision(seed, hidden, frac_bits, retrained, cuts):
     """The evaluator requantizes only the columns a map changes, yet each
     candidate it commits byte-equals the accepted model's ``apply_precision``,
-    from a retrained accepted model too and when a cut also lowers the class
-    budget (which takes the full path)."""
+    from a retrained accepted model too. A map that also lowers the class budget
+    is no cut: it raises ``ValueError`` and leaves the accepted model as it was."""
     rng = np.random.default_rng(seed)
     model = _random_model([16, *hidden, 10], rng)
     model.visible_biases = [rng.normal(size=n) for n in [16, *hidden[:-1]]]
@@ -510,7 +527,12 @@ def test_candidate_bytes_match_apply_precision(seed, hidden, frac_bits, retraine
     for count, cut, class_cut in cuts:
         pmap_next = _cut(pmap, rng, count, cut)
         if class_cut:
-            pmap_next.class_frac_bits = max(0, pmap.class_frac_bits - 1)
+            pmap_next.class_frac_bits -= 1
+            before = evaluator.model
+            with pytest.raises(ValueError, match="only hidden budgets"):
+                evaluator.accuracy(pmap_next)
+            assert evaluator.model is before
+            continue
         expected = accepted.apply_precision(pmap_next)
         evaluator.accuracy(pmap_next)
         evaluator.accept()
@@ -562,9 +584,9 @@ def test_layer_cache_matches_fresh_pass(seed, hidden, frac_bits, activation_frac
 def test_top_layer_candidate_recomputes_only_its_columns(monkeypatch):
     """A candidate that changes only the top hidden layer reads layer 0 from the
     cache (no ``hidden_probs(0, ...)``) and computes only the changed columns of
-    the top layer, before the class layer: their sums come from weight columns
-    gathered once per candidate, not from ``pre_activation``, and ``activation``
-    sees only those columns."""
+    the top layer, before the class layer: their sums come from the gathered weight
+    columns, not from ``pre_activation``, and ``activation`` sees only those
+    columns."""
     accepted, _, X, y = _hopeless_case()
     pmap = accepted.precision.copy()
     pmap.hidden_frac_bits[-1][[1, 4]] -= 2

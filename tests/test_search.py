@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -306,6 +307,17 @@ class TestArtifacts:
         grown.hidden_frac_bits[0][0] = 6
         with pytest.raises(ValueError):
             pmap.check_monotone_update(grown)
+        # a cut lowers hidden budgets only: every other field stays as it is
+        cut = pmap.copy()
+        cut.hidden_frac_bits[0][1:] = [4, 0, 5]
+        pmap.check_monotone_update(cut)
+        for name, value in [("class_frac_bits", 4), ("class_frac_bits", 6),
+                            ("global_frac_bits", 4), ("weight_int_bits", 7),
+                            ("activation_frac_bits", 8),
+                            ("hidden_frac_bits", [np.full(3, 5)]),
+                            ("hidden_frac_bits", [np.full(4, 5), np.full(2, 5)])]:
+            with pytest.raises(ValueError, match="a cut"):
+                pmap.check_monotone_update(dataclasses.replace(cut, **{name: value}))
 
     def test_histogram(self):
         pmap = PrecisionMap.uniform([3, 2], 8)
