@@ -21,7 +21,7 @@ from .fixedpoint import FixedPointFormat, quantize_all, quantize_grid
 
 MODEL_MAGIC = b"ADBN"
 MODEL_VERSION = 1
-_CHUNK = 2048  # rows per propagation step: mean_field_probs, classify, criticality
+_CHUNK = 2048  # rows per propagation step: classify, criticality
 _BLOCK = 256  # rows per step of an early-stopping walk
 MOMENTUM = 0.5  # CD velocity decay
 
@@ -57,8 +57,12 @@ def as_inputs(x, width, layer_name):
 
 
 def check_finite(x, name):
-    """Raise ``ValueError`` naming ``name`` if ``x`` holds a NaN or an infinity."""
-    if not np.isfinite(x).all():
+    """Raise ``ValueError`` naming ``name`` if ``x`` holds a NaN or an infinity.
+    A finite sum proves every term finite, so only a sum that is not finite
+    (which an overflow can make) needs the elementwise test and its mask."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(x)
+    if not np.isfinite(total) and not np.isfinite(x).all():
         raise ValueError(f"{name} must be finite: found NaN or infinity")
 
 
@@ -78,15 +82,18 @@ class PrecisionMap:
                                     # Q0.64 activations
 
     def __post_init__(self):
+        self.hidden_frac_bits = [np.asarray(b, np.int64) for b in self.hidden_frac_bits]
         budgets = [self.class_frac_bits, self.global_frac_bits]
         low = min(budgets + [int(np.min(b, initial=0)) for b in self.hidden_frac_bits])
         if low < 0:
             raise ValueError(f"bit budget {low}: budgets must be nonnegative")
         top = max(budgets + [int(np.max(b, initial=0)) for b in self.hidden_frac_bits])
-        try:  # every budget's formats fit 64 bits
-            self.weight_format(top), self.activation_format(top)
+        try:  # every budget's formats fit 64 bits; if all are 0, a 1-bit budget's
+            self.weight_format(max(top, 1)), self.activation_format(max(top, 1))
         except ValueError as e:
-            raise ValueError(f"bit budget {top}: {e}") from e
+            raise ValueError(
+                f"bit budget {top}, weight_int_bits {self.weight_int_bits}, "
+                f"activation_frac_bits {self.activation_frac_bits}: {e}") from e
 
     @classmethod
     def uniform(cls, hidden_sizes, frac_bits, activation_frac_bits=0):
@@ -224,15 +231,6 @@ class DdbnModel:
             activations.append(v)
         return activations
 
-    def mean_field_probs(self, v):
-        """Mean-field class probabilities of the images ``v``, propagated
-        ``_CHUNK`` rows per step."""
-        probs = np.empty((len(v), self.layer_sizes[-1]))
-        for start in range(0, len(v), _CHUNK):
-            probs[start:start + _CHUNK] = self.class_probs(
-                self.forward_hidden(v[start:start + _CHUNK])[-1])
-        return probs
-
     def classify(self, v, mode="mean_field", samples=10, seed=0):
         """Predict classes. Returns (predicted classes, class probability
         vectors); ties resolve to the lowest class index.
@@ -252,13 +250,13 @@ class DdbnModel:
             raise ValueError(f"unknown inference mode {mode!r}")
         if mode == "stochastic" and samples < 1:
             raise ValueError("stochastic mode needs samples >= 1")
-        if mode == "mean_field":
-            probs = self.mean_field_probs(v)
-        else:
-            probs = np.empty((len(v), self.layer_sizes[-1]))
-            step = max(1, _CHUNK // samples)
-            for start in range(0, len(v), step):
-                rows = v[start:start + step]
+        probs = np.empty((len(v), self.layer_sizes[-1]))
+        step = _CHUNK if mode == "mean_field" else max(1, _CHUNK // samples)
+        for start in range(0, len(v), step):
+            rows = v[start:start + step]
+            if mode == "mean_field":
+                probs[start:start + step] = self.class_probs(self.forward_hidden(rows)[-1])
+            else:
                 rngs = [np.random.default_rng(np.random.SeedSequence([seed, i]))
                         for i in range(start, start + len(rows))]
                 probs[start:start + step] = self._stochastic_probs(rows, samples, rngs)
@@ -525,15 +523,15 @@ def confusion_counts(model, images, labels, mode="mean_field",
 
 class CandidateEvaluator:
     """Mean-field accuracy of the accepted ``model`` under cuts of its map, maps
-    that lower a few hidden budgets; ``accept`` commits the last one. A candidate
-    requantizes only the columns whose budget changed. When float64 adds every
-    layer's sums exactly, the accepted model's activations ``a[l]`` of every hidden
-    layer and, above layer 0, its pre-activations ``z[l]`` are kept. A cut keeps
-    the sums exact, so a candidate then recomputes its lowest changed layer's
-    changed columns, adds their change to the next layer's ``z`` and walks the
-    layers above in full. Under a threshold, that walk takes the rows hardest
+    that lower a few hidden budgets; ``cut`` commits one that meets its threshold.
+    A candidate requantizes only the columns whose budget changed. When float64
+    adds every layer's sums exactly, the accepted model's activations ``a[l]`` of
+    every hidden layer and, above layer 0, its pre-activations ``z[l]`` are kept.
+    A cut keeps the sums exact, so a candidate then recomputes its lowest changed
+    layer's changed columns, adds their change to the next layer's ``z`` and walks
+    the layers above in full. Under a threshold, that walk takes the rows hardest
     first, ``_BLOCK`` at a time, and stops once it fails. With nothing kept, a
-    candidate is walked from the images, as ``classify`` walks them."""
+    candidate is walked from the images by ``classify``."""
 
     def __init__(self, model, images, labels):
         if model.precision is None:
@@ -542,7 +540,6 @@ class CandidateEvaluator:
         check_finite(self.images, "images")
         self.labels = np.asarray(labels)
         self.binary = bool(np.isin(self.images, (0.0, 1.0)).all())
-        self._pending = None
         # candidates requantize only the columns they change, which needs the
         # accepted model on its grid; the identity if it already is
         self._keep(model.apply_precision(model.precision))
@@ -604,18 +601,18 @@ class CandidateEvaluator:
             new[layer - f][0][rows], new[layer - f][1][rows] = z, v
         return v
 
-    def accuracy(self, pmap, threshold=None):
-        """Accuracy of the accepted model under ``pmap``, a cut of its map that
-        ``accept`` then commits; any other map raises ``ValueError``. Below a
-        ``threshold`` it may return an upper bound, also below it, and leave nothing
-        to accept."""
-        self._pending = None  # frees a rejected candidate before the next
+    def cut(self, pmap, threshold=None):
+        """Accuracy of the accepted model under ``pmap``, a cut of its map; any other
+        map raises ``ValueError``. The cut becomes the accepted model unless its
+        accuracy is below ``threshold``; then it may return an upper bound, also
+        below it. With no threshold it always commits."""
         candidate, changed = self._candidate(pmap)
         n, errors = len(self.labels), 0
         if not self.a:
-            self._pending = (candidate, None)
-            pred = candidate.mean_field_probs(self.images).argmax(axis=1)
-            return int((pred == self.labels).sum()) / n
+            acc = int((candidate.classify(self.images)[0] == self.labels).sum()) / n
+            if threshold is None or acc >= threshold:
+                self._keep(candidate)
+            return acc
         if threshold is None:  # every row, in file order
             blocks = [slice(s, s + _CHUNK) for s in range(0, n, _CHUNK)]
             threshold = -math.inf
@@ -633,26 +630,15 @@ class CandidateEvaluator:
             errors += int((pred != self.labels[rows]).sum())
             if (n - errors) / n < threshold:  # Phase 2's test, whatever the rest give
                 return (n - errors) / n
-        self._pending = (candidate, (f, changed[f] if f < top else None, new))
-        return (n - errors) / n
-
-    def accept(self):
-        """Commit the candidate of the last ``accuracy`` call, if evaluated in full."""
-        if self._pending is None:
-            raise ValueError("no fully evaluated candidate to accept")
-        (candidate, update), self._pending = self._pending, None
-        if update is None:  # walked from the images
-            self._keep(candidate)
-            return
-        self.model, self._order = candidate, None
-        f, cols, new = update
-        for layer, (z, a) in enumerate(new, start=f):
-            if layer > f:
+        self.model = candidate
+        if f < top:  # a new order, layer f's changed columns, the layers above
+            self._order, (z, a) = None, new[0]
+            self.a[f][:, changed[f]] = a
+            if f:
+                self.z[f][:, changed[f]] = z
+            for layer, (z, a) in enumerate(new[1:], start=f + 1):
                 self.z[layer], self.a[layer] = z, a
-            else:  # layer f: its changed columns
-                self.a[f][:, cols] = a
-                if f:
-                    self.z[f][:, cols] = z
+        return (n - errors) / n
 
 
 # ---- serialization -----------------------------------------------------

@@ -68,10 +68,12 @@ def quantize_grid(values, scale, lo, hi):
     out = np.maximum(values, lo, out=np.empty_like(values))
     np.minimum(out, hi, out=out)
     out *= scale
-    # trunc(x + sign(x) / 2) is sign(x) * floor(|x| + 1/2), as IEEE rounding is
-    # symmetric; += 0.0 gives the one zero: a value that rounds to 0 may be -0.0
-    out += np.copysign(0.5, out)
-    np.trunc(out, out=out)
+    # sign(x) * floor(|x| + 1/2) in place, the sign from the input: clipping
+    # changes a sign only to a zero, and += 0.0 makes every zero +0.0
+    np.abs(out, out=out)
+    out += 0.5
+    np.floor(out, out=out)
+    np.copysign(out, values, out=out)
     out += 0.0
     out *= 1.0 / scale  # exact for a power of two
     # rounding can pass hi (Q8.46: hi * scale + 0.5 rounds to 2^53), never lo

@@ -178,10 +178,9 @@ def phase2_greedy(model, config, train_images, train_one_hot,
                 pmap_next = _reduce_candidates(pmap, candidates)
                 if pmap_next is None:
                     break
-                acc = evaluator.accuracy(pmap_next, threshold)
+                acc = evaluator.cut(pmap_next, threshold)
                 if acc < threshold:
                     break
-                evaluator.accept()
                 trace.append(TraceRecord("phase2", iteration, "approximate",
                                          acc / baseline_acc,
                                          pmap_next.total_hidden_bits()))
@@ -199,9 +198,11 @@ def phase2_greedy(model, config, train_images, train_one_hot,
                 retrain_quantized(current, pmap, train_images, train_one_hot,
                                   retrain_config, first), val_images, val_labels)
             # the unchanged map: each model's own accuracy, from its evaluator
-            if retrained.accuracy(pmap) >= threshold:  # else keep pre-retrain parameters
+            acc = retrained.cut(pmap, threshold)
+            if acc >= threshold:
                 evaluator = retrained
-            acc = evaluator.accuracy(pmap)
+            else:  # keep the pre-retrain parameters
+                acc = evaluator.cut(pmap)
             trace.append(TraceRecord("phase2", iteration, "retrain",
                                      acc / baseline_acc,
                                      pmap.total_hidden_bits()))
@@ -268,6 +269,5 @@ def approximation_curve(model, config, train_images, train_one_hot,
     evaluator = CandidateEvaluator(current, eval_images, eval_labels)
     for layer, idx in ordering:
         pmap.hidden_frac_bits[layer][idx] = 0
-        accuracies.append(evaluator.accuracy(pmap))
-        evaluator.accept()
+        accuracies.append(evaluator.cut(pmap))
     return np.array(accuracies)

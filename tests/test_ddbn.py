@@ -415,6 +415,16 @@ def test_non_finite_input_raises(tiny_data, call, name, value):
         calls[call]()
 
 
+def test_check_finite_tests_elements_not_the_sum():
+    """A finite array whose sum overflows passes; a NaN, either infinity, or +inf
+    and -inf together (their sum is NaN) fail."""
+    ddbn.check_finite(np.full((3, 4), np.finfo(np.float64).max), "x")
+    ddbn.check_finite(np.array([1e308, 1e308, -np.finfo(np.float64).max]), "x")
+    for bad in ([1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf], [np.inf, -np.inf]):
+        with pytest.raises(ValueError, match="x must be finite"):
+            ddbn.check_finite(np.array(bad), "x")
+
+
 class TestQuantizedInference:
     def test_activation_bounds_and_probability_sums(self, tiny_data):
         X, T, _ = tiny_data
@@ -446,6 +456,30 @@ class TestQuantizedInference:
     def test_negative_budget_rejected(self, hidden, class_bits, global_bits):
         with pytest.raises(ValueError, match="nonnegative"):
             PrecisionMap([np.array(b) for b in hidden], class_bits, global_bits)
+
+    def test_budgets_given_as_lists_are_int64_arrays(self):
+        pmap = PrecisionMap([[3] * 5, [2] * 4], 3, 3)
+        assert all(b.dtype == np.int64 for b in pmap.hidden_frac_bits)
+        assert pmap.total_hidden_bits() == 23
+        assert pmap.copy().total_hidden_bits() == 23
+
+    @pytest.mark.parametrize("field,value", [
+        ("weight_int_bits", 300), ("weight_int_bits", 64), ("weight_int_bits", -1),
+        ("activation_frac_bits", -1), ("activation_frac_bits", 65),
+    ])
+    def test_formats_checked_when_every_budget_is_zero(self, field, value):
+        """A map that prunes every neuron still has formats for its other fields,
+        which must fit 64 bits: it is rejected when built, not when saved."""
+        with pytest.raises(ValueError, match=f"{field} {value}"):
+            PrecisionMap([np.zeros(4, np.int64)], 0, 0, **{field: value})
+
+    def test_widest_fields_of_a_pruned_map_round_trip(self, tmp_path):
+        pmap = PrecisionMap([np.zeros(4, np.int64)], 0, 0, weight_int_bits=63,
+                            activation_frac_bits=64)
+        model = DdbnModel.random_init([6, 4, 10], seed=0).apply_precision(pmap)
+        save_model(model, tmp_path / "m.bin")
+        loaded = load_model(tmp_path / "m.bin").precision
+        assert (loaded.weight_int_bits, loaded.activation_frac_bits) == (63, 64)
 
     def test_requantization_is_noop(self, tiny_data):
         X, T, _ = tiny_data

@@ -202,11 +202,12 @@ def _cut(pmap, rng, count, cut, lowest=0):
        steps=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 8),
                                 st.booleans()), min_size=1, max_size=8))
 def test_candidate_evaluator_matches_classify(seed, hidden, frac_bits, steps):
-    """Along a random sequence of budget cuts, some accepted and some
-    rejected, the evaluator's accuracy of a map equals ``evaluate_accuracy``
-    of the accepted model under that map, and its kept activations, carried
-    on through ``class_probs``, byte-equal a full pass of the accepted
-    model."""
+    """Along a random sequence of budget cuts, some committed (no threshold) and
+    some rejected (a threshold one ulp above their accuracy), the evaluator's
+    accuracy of a committed cut equals ``evaluate_accuracy`` of the accepted
+    model under that map, a rejected cut leaves the accepted model, and the kept
+    activations, carried on through ``class_probs``, byte-equal a full pass of
+    the accepted model."""
     rng = np.random.default_rng(seed)
     model = _random_model([16, *hidden, 10], rng)
     X = (rng.random((60, 16)) > 0.5).astype(float)
@@ -214,13 +215,15 @@ def test_candidate_evaluator_matches_classify(seed, hidden, frac_bits, steps):
     pmap = PrecisionMap.uniform(hidden, frac_bits)
     evaluator = CandidateEvaluator(model.apply_precision(pmap), X, y)
     current = evaluator.model
-    for count, cut, accept in steps:
+    for count, cut, commit in steps:
         pmap_next = _cut(pmap, rng, count, cut)
-        candidate = current.apply_precision(pmap_next)
-        assert evaluator.accuracy(pmap_next) == evaluate_accuracy(candidate, X, y)
-        if accept:
-            evaluator.accept()
+        full = evaluate_accuracy(current.apply_precision(pmap_next), X, y)
+        if commit:
+            assert evaluator.cut(pmap_next) == full
             pmap, current = pmap_next, evaluator.model
+        else:
+            t = np.nextafter(full, 1.0)
+            assert full <= evaluator.cut(pmap_next, t) < t
         assert evaluator.model is current
         _assert_cache_fresh(evaluator, X)
         assert (current.class_probs(evaluator.a[-1]).tobytes()
@@ -304,8 +307,7 @@ def test_candidate_evaluator_fallback(monkeypatch, case, exact0):
     evaluator = CandidateEvaluator(accepted, X, y)
     rows = _rows_at_layer0(monkeypatch)
     for pmap_next, acc in zip(maps, expected):
-        assert evaluator.accuracy(pmap_next) == acc
-        evaluator.accept()
+        assert evaluator.cut(pmap_next) == acc
     walked = 0 if case == "binary" else 2  # candidates walked from the images
     assert rows == [len(X)] * walked
     assert len(evaluator.a) == (0 if walked == 2 else 2)
@@ -371,33 +373,44 @@ def test_early_rejection_rows_walked(monkeypatch, activation_frac_bits, early):
 
     monkeypatch.setattr(DdbnModel, "class_probs", counting)
     monkeypatch.setattr(ddbn, "evaluate_accuracy", None)  # no full-pass fallback
-    acc = evaluator.accuracy(hopeless, 0.9)
+    acc = evaluator.cut(hopeless, 0.9)
     assert exact < 0.9 and acc < 0.9 and acc >= exact
     assert (sum(walked) < len(X)) == early and len(evaluator.a) == (2 if early else 0)
     if not early:
         assert acc == exact
     walked.clear()
-    assert evaluator.accuracy(hopeless) == exact and sum(walked) == len(X)
+    assert evaluator.cut(hopeless) == exact and sum(walked) == len(X)
 
 
-def test_accept_needs_a_fully_evaluated_candidate():
-    accepted, hopeless, X, y = _hopeless_case()
+def _state(evaluator):
+    """The evaluator's accepted model and the bytes of its parameters and cache."""
+    return (evaluator.model, [p.tobytes() for p in _parameters(evaluator.model)],
+            [a.tobytes() for a in evaluator.a],
+            [z.tobytes() for z in evaluator.z if z is not None])
+
+
+@pytest.mark.parametrize("activation_frac_bits", [0, 64])  # layers kept, or none
+def test_rejected_cut_leaves_the_evaluator_unchanged(activation_frac_bits):
+    """A cut below its threshold leaves the accepted model, ``a`` and ``z`` as they
+    were, byte for byte; a cut that meets its threshold becomes the accepted
+    model."""
+    accepted, hopeless, X, y = _hopeless_case(activation_frac_bits)
     evaluator = CandidateEvaluator(accepted, X, y)
-    with pytest.raises(ValueError, match="no fully evaluated candidate"):
-        evaluator.accept()
-    assert evaluator.accuracy(hopeless, 0.9) < 0.9
-    with pytest.raises(ValueError, match="no fully evaluated candidate"):
-        evaluator.accept()
+    before = _state(evaluator)
+    assert evaluator.cut(hopeless, 0.9) < 0.9
+    after = _state(evaluator)
+    assert after[0] is before[0] and after[1:] == before[1:]
     _assert_cache_fresh(evaluator, X)
-    assert evaluator.accuracy(hopeless, 0.0) < 0.9
-    evaluator.accept()
+    assert evaluator.cut(hopeless, 0.0) < 0.9
     assert evaluator.model.precision.total_hidden_bits() == 8 * 6
+    _assert_cache_fresh(evaluator, X)
 
 
 def test_accepted_exact_cut_keeps_every_layer(monkeypatch):
-    """An evaluator that keeps nothing rebuilds its cache when it accepts a cut
+    """An evaluator that keeps nothing rebuilds its cache when it commits a cut
     whose every layer, the class layer too, is exact. A map that raises a budget
-    is no cut: it raises ``ValueError`` and leaves the cache as it was."""
+    is no cut: it raises ``ValueError`` and leaves the model and cache as they
+    were."""
     rng = np.random.default_rng(5)
     model = _random_model([784, 5, 4, 10], rng)
     X = (rng.random((40, 784)) > 0.5).astype(float)
@@ -416,15 +429,12 @@ def test_accepted_exact_cut_keeps_every_layer(monkeypatch):
     for pmap_next, kept in ((hidden_8, 0), (hidden_4, 2)):
         expected = evaluate_accuracy(evaluator.model.apply_precision(pmap_next), X, y)
         rows.clear()
-        assert evaluator.accuracy(pmap_next) == expected
+        assert evaluator.cut(pmap_next) == expected
         assert rows == [len(X)]  # each is walked from the images
-        evaluator.accept()
         assert len(evaluator.a) == kept
         _assert_cache_fresh(evaluator, X)
     with pytest.raises(ValueError, match="increase"):
-        evaluator.accuracy(raised)
-    with pytest.raises(ValueError, match="no fully evaluated candidate"):
-        evaluator.accept()
+        evaluator.cut(raised)
     assert all(map(np.array_equal, evaluator.model.precision.hidden_frac_bits,
                    hidden_4.hidden_frac_bits))
     _assert_cache_fresh(evaluator, X)
@@ -443,15 +453,14 @@ def test_accepted_class_cut_rebuilds_a_fresh_cache(monkeypatch):
     hidden = pmap.copy()
     hidden.hidden_frac_bits[1][3] = 0
     with pytest.raises(ValueError, match="only hidden budgets"):
-        evaluator.accuracy(pmap)
+        evaluator.cut(pmap)
     evaluator = CandidateEvaluator(accepted.apply_precision(pmap), X, y)
     assert len(evaluator.a) == 2
     _assert_cache_fresh(evaluator, X)
     expected = evaluate_accuracy(evaluator.model.apply_precision(hidden), X, y)
     rows = _rows_at_layer0(monkeypatch)
-    assert evaluator.accuracy(hidden) == expected
+    assert evaluator.cut(hidden) == expected
     assert rows == []
-    evaluator.accept()
     _assert_cache_fresh(evaluator, X)
 
 
@@ -461,14 +470,14 @@ def test_accepted_class_cut_rebuilds_a_fresh_cache(monkeypatch):
        frac_bits=st.integers(1, 8),
        steps=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 8),
                                 st.integers(-3, 3),
-                                st.sampled_from(["exact", "above", "below", "uniform"]),
-                                st.booleans()), min_size=1, max_size=8))
+                                st.sampled_from(["exact", "above", "below", "uniform"])),
+                      min_size=1, max_size=8))
 def test_early_rejection_matches_full_evaluation(seed, hidden, frac_bits, steps):
     """Along random cuts and thresholds (c / N exactly, one ulp either side,
     or uniform), the evaluator's accuracy reaches the threshold exactly when
-    the full evaluation does, and then equals it; a rejection that stopped
-    early cannot be accepted, and each accepted model byte-equals
-    ``apply_precision`` of the previous one."""
+    the full evaluation does, and then equals it; a rejected cut, stopped early
+    or not, leaves the accepted model and its cache byte-identical, and each
+    committed model byte-equals ``apply_precision`` of the previous one."""
     rng = np.random.default_rng(seed)
     model = _random_model([16, *hidden, 10], rng)
     X = (rng.random((600, 16)) > 0.5).astype(float)
@@ -479,25 +488,24 @@ def test_early_rejection_matches_full_evaluation(seed, hidden, frac_bits, steps)
     y = np.where(rng.random(len(X)) < 0.8, accepted.classify(X)[0],
                  rng.integers(0, 10, len(X)))
     evaluator = CandidateEvaluator(accepted, X, y)
-    for count, cut, delta, kind, accept in steps:
+    for count, cut, delta, kind in steps:
         pmap_next = _cut(pmap, rng, count, cut)
         expected = accepted.apply_precision(pmap_next)
         full = evaluate_accuracy(expected, X, y)
         t = (round(full * len(X)) + delta) / len(X)
         t = {"exact": t, "above": np.nextafter(t, 1.0), "below": np.nextafter(t, 0.0),
              "uniform": rng.random()}[kind]
-        acc = evaluator.accuracy(pmap_next, t)
+        before = _state(evaluator)
+        acc = evaluator.cut(pmap_next, t)
         assert (acc >= t) == (full >= t)
         if acc >= t:
             assert acc == full
-        else:
-            with pytest.raises(ValueError):
-                evaluator.accept()
-        if accept and acc >= t:
-            evaluator.accept()
             accepted, pmap = evaluator.model, pmap_next
             for got, want in zip(_parameters(accepted), _parameters(expected)):
                 assert got.tobytes() == want.tobytes()
+        else:
+            after = _state(evaluator)
+            assert after[0] is before[0] and after[1:] == before[1:]
         _assert_cache_fresh(evaluator, X)
 
 
@@ -530,12 +538,11 @@ def test_candidate_bytes_match_apply_precision(seed, hidden, frac_bits, retraine
             pmap_next.class_frac_bits -= 1
             before = evaluator.model
             with pytest.raises(ValueError, match="only hidden budgets"):
-                evaluator.accuracy(pmap_next)
+                evaluator.cut(pmap_next)
             assert evaluator.model is before
             continue
         expected = accepted.apply_precision(pmap_next)
-        evaluator.accuracy(pmap_next)
-        evaluator.accept()
+        evaluator.cut(pmap_next)
         accepted, pmap = evaluator.model, pmap_next
         assert accepted.precision.class_frac_bits == pmap.class_frac_bits
         assert all(map(np.array_equal, accepted.precision.hidden_frac_bits,
@@ -550,15 +557,15 @@ def test_candidate_bytes_match_apply_precision(seed, hidden, frac_bits, retraine
        frac_bits=st.sampled_from([1, 3, 5, 8, 21, 22, 30]),
        activation_frac_bits=st.sampled_from([0, 0, 64]),
        steps=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 8), st.integers(0, 2),
-                                st.sampled_from([None, "uniform", "zero"]),
-                                st.booleans()), min_size=1, max_size=8))
+                                st.sampled_from([None, "uniform", "zero", "above"])),
+                      min_size=1, max_size=8))
 def test_layer_cache_matches_fresh_pass(seed, hidden, frac_bits, activation_frac_bits,
                                         steps):
-    """Along random cuts from a random lowest layer up, accepted or rejected,
-    with or without a threshold, and with budgets or activation formats that
-    leave only some layers exact, every cached ``a[l]`` and ``z[l]`` byte-equals
-    a fresh pass of the accepted model, and an accuracy that meets its threshold
-    equals ``evaluate_accuracy``."""
+    """Along random cuts from a random lowest layer up, committed or rejected,
+    with or without a threshold (random, 0, or one ulp above the accuracy), and
+    with budgets or activation formats that leave only some layers exact, every
+    cached ``a[l]`` and ``z[l]`` byte-equals a fresh pass of the accepted model,
+    and an accuracy that meets its threshold equals ``evaluate_accuracy``."""
     rng = np.random.default_rng(seed)
     model = _random_model([16, *hidden, 10], rng)
     X = (rng.random((300, 16)) > 0.5).astype(float)
@@ -568,16 +575,17 @@ def test_layer_cache_matches_fresh_pass(seed, hidden, frac_bits, activation_frac
                  rng.integers(0, 10, len(X)))
     evaluator = CandidateEvaluator(accepted, X, y)
     _assert_cache_fresh(evaluator, X)
-    for count, cut, lowest, kind, accept in steps:
+    for count, cut, lowest, kind in steps:
         pmap_next = _cut(pmap, rng, count, cut, min(lowest, len(hidden) - 1))
         full = evaluate_accuracy(evaluator.model.apply_precision(pmap_next), X, y)
-        t = {None: None, "uniform": rng.random(), "zero": 0.0}[kind]
-        acc = evaluator.accuracy(pmap_next, t)
+        t = {None: None, "uniform": rng.random(), "zero": 0.0,
+             "above": np.nextafter(full, 1.0)}[kind]
+        acc = evaluator.cut(pmap_next, t)
         if t is None or acc >= t:
             assert acc == full
-        if accept and (t is None or acc >= t):
-            evaluator.accept()
             pmap = pmap_next
+        assert all(map(np.array_equal, evaluator.model.precision.hidden_frac_bits,
+                       pmap.hidden_frac_bits))
         _assert_cache_fresh(evaluator, X)
 
 
@@ -591,7 +599,8 @@ def test_top_layer_candidate_recomputes_only_its_columns(monkeypatch):
     pmap = accepted.precision.copy()
     pmap.hidden_frac_bits[-1][[1, 4]] -= 2
     expected = evaluate_accuracy(accepted.apply_precision(pmap), X, y)
-    evaluator = CandidateEvaluator(accepted, X, y)
+    # file order; hardest first, every block: one evaluator each, as each commits
+    runs = [(CandidateEvaluator(accepted, X, y), t) for t in (None, 0.0)]
     calls = []
 
     def spy(name):
@@ -605,10 +614,10 @@ def test_top_layer_candidate_recomputes_only_its_columns(monkeypatch):
 
     for name in ("hidden_probs", "pre_activation", "activation"):
         monkeypatch.setattr(DdbnModel, name, spy(name))
-    for threshold in (None, 0.0):  # file order; hardest first, every block
+    for evaluator, threshold in runs:
         calls.clear()
-        assert evaluator.accuracy(pmap, threshold) == expected
+        assert evaluator.cut(pmap, threshold) == expected
         assert set(calls) == {("activation", 1, 2)}
-    evaluator.accept()
     monkeypatch.undo()
-    _assert_cache_fresh(evaluator, X)
+    for evaluator, _ in runs:
+        _assert_cache_fresh(evaluator, X)

@@ -197,10 +197,11 @@ def test_phase2_orders_from_kept_layer0(tiny_setup, monkeypatch):
 
 
 class _ScriptedEvaluator:
-    """Stands in for ``CandidateEvaluator``: a candidate is accepted when
-    every neuron whose budget it changed is still in ``allowed``, and an
-    accepted neuron leaves ``allowed``. The evaluators built for the
-    retrains numbered in ``reverted`` (1-based) accept nothing."""
+    """Stands in for ``CandidateEvaluator``: a candidate passes when every
+    neuron whose budget it changed is still in ``allowed``; a cut that meets its
+    threshold, or has none, is committed, and its neurons leave ``allowed``. The
+    evaluators built for the retrains numbered in ``reverted`` (1-based) pass
+    nothing."""
 
     allowed, built, reverted = set(), 0, set()
 
@@ -209,17 +210,16 @@ class _ScriptedEvaluator:
         self.model, self.rejects = model, cls.built in cls.reverted
         cls.built += 1
 
-    def accuracy(self, pmap, threshold=None):
+    def cut(self, pmap, threshold=None):
         old = self.model.precision.hidden_frac_bits
-        self.next = pmap
-        self.changed = {(layer, int(i)) for layer, (a, b)
-                        in enumerate(zip(old, pmap.hidden_frac_bits))
-                        for i in np.flatnonzero(a != b)}
-        return 0.0 if self.rejects or not self.changed <= self.allowed else 1.0
-
-    def accept(self):
-        _ScriptedEvaluator.allowed -= self.changed
-        self.model = self.model.apply_precision(self.next)
+        changed = {(layer, int(i)) for layer, (a, b)
+                   in enumerate(zip(old, pmap.hidden_frac_bits))
+                   for i in np.flatnonzero(a != b)}
+        acc = 0.0 if self.rejects or not changed <= self.allowed else 1.0
+        if threshold is None or acc >= threshold:
+            _ScriptedEvaluator.allowed -= changed
+            self.model = self.model.apply_precision(pmap)
+        return acc
 
 
 class TestRetrainRule:

@@ -9,9 +9,10 @@ seeds 1, 7 and 32. For each workload and seed it generates the inputs of
 ``perfbench/workloads.py``'s workload, then runs the CLI commands with
 each tree's ``src/`` (BLAS pinned to one thread): the workload's
 ``train``, ``search``, ``curve`` and ``eval``, plus ``search`` with the
-test images set and ``eval`` in the other inference mode. Both trees
-write to the same output directory, one after the other, since some
-commands print that path. It hashes every file the commands write,
+test images set, ``curve_wide`` (``curve`` with 24-bit budgets, where the
+candidate evaluator keeps no layer) and ``eval`` in the other inference
+mode. Both trees write to the same output directory, one after the other,
+since some commands print that path. It hashes every file the commands write,
 except ``config_echo.json`` (it names the input paths), plus each
 command's standard output and exit code. It prints every difference and every command that did not exit 0, run by
 run, and exits 1 if there is one for any run, else 0.
@@ -33,6 +34,10 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SKIPPED = {"config_echo.json"}
 SEEDS = (1, 7, 32)
+# curve_wide's budgets: layer 1's sums need 8 + 24 + 24 + ceil(log2 fan-in) bits,
+# more than float64's 53, so the candidate evaluator keeps no layer and walks
+# every candidate from the images
+WIDE_FRAC_BITS = 24
 
 
 def load_workloads():
@@ -47,22 +52,34 @@ def load_workloads():
     return module
 
 
+def _config(inputs, source, name, **changes):
+    """The JSON config ``source`` with its top-level ``changes``, written as
+    ``name`` under the inputs' root; returns its path."""
+    with open(source) as f:
+        config = dict(json.load(f), **changes)
+    path = os.path.join(inputs.root, name)
+    with open(path, "w") as f:
+        json.dump(config, f, indent=2, sort_keys=True)
+    return path
+
+
 def commands(inputs, out):
     """(name, argv) of every command run on a tree, writing into ``out``."""
     cmds = inputs.commands(str(out))
-    with open(inputs.config) as f:
-        config = json.load(f)
-    config.update(test_images=inputs.test_images, test_labels=inputs.test_labels)
-    test_config = os.path.join(inputs.root, "search_test_config.json")
-    with open(test_config, "w") as f:
-        json.dump(config, f, indent=2, sort_keys=True)
+    test_config = _config(inputs, inputs.config, "search_test_config.json",
+                          test_images=inputs.test_images, test_labels=inputs.test_labels)
+    wide_search = dict(inputs.workload.search, baseline_frac_bits=WIDE_FRAC_BITS)
+    wide_config = _config(inputs, inputs.curve_config, "curve_wide_config.json",
+                          search=wide_search)
     eval_argv = dict(cmds)["eval"]
     other = "mean_field" if inputs.workload.eval_mode == "stochastic" else "stochastic"
     mode = eval_argv.index("--mode") + 1
+    model = os.path.join(out, "train", "model.bin")
     return cmds + [
-        ("search_test", ["search", "--config", test_config, "--model",
-                         os.path.join(out, "train", "model.bin"),
+        ("search_test", ["search", "--config", test_config, "--model", model,
                          "--out", os.path.join(out, "search_test")]),
+        ("curve_wide", ["curve", "--config", wide_config, "--model", model,
+                        "--out", os.path.join(out, "curve_wide")]),
         ("eval_other", eval_argv[:mode] + [other] + eval_argv[mode + 1:]),
     ]
 
