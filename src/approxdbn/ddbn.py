@@ -11,6 +11,7 @@ probabilities deterministically.
 
 import json
 import math
+import operator
 import struct
 import zlib
 from dataclasses import dataclass, field, replace
@@ -82,7 +83,19 @@ class PrecisionMap:
                                     # Q0.64 activations
 
     def __post_init__(self):
-        self.hidden_frac_bits = [np.asarray(b, np.int64) for b in self.hidden_frac_bits]
+        for name in ("class_frac_bits", "global_frac_bits", "weight_int_bits",
+                     "activation_frac_bits"):
+            try:  # ints and numpy integers, kept as int; no float, even 3.0
+                setattr(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} {getattr(self, name)!r}: "
+                                 "bit counts must be integers") from None
+        hidden = [np.asarray(b) for b in self.hidden_frac_bits]
+        for layer, b in enumerate(hidden):
+            if b.size and b.dtype.kind not in "iu":
+                raise ValueError(f"hidden_frac_bits[{layer}] of dtype {b.dtype}: "
+                                 "bit counts must be integers")
+        self.hidden_frac_bits = [np.asarray(b, np.int64) for b in hidden]
         budgets = [self.class_frac_bits, self.global_frac_bits]
         low = min(budgets + [int(np.min(b, initial=0)) for b in self.hidden_frac_bits])
         if low < 0:
@@ -318,35 +331,53 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
 
 
-def _requantized(arr, bits, pmap, cols):
-    """``arr`` with its columns ``cols`` (last axis) requantized, in a new array;
-    ``cols`` is a slice or ascending indices."""
-    part = _quantize_columns(arr[..., cols], bits[cols], pmap)
-    if part.shape == arr.shape:  # every column
-        return part
+def _columns(arr, cols):
+    """Columns ``cols`` (last axis) of ``arr``: a view for a slice, a C-contiguous
+    copy for indices (``arr[:, indices]`` is F-contiguous, which can send a
+    matrix product down another BLAS path)."""
+    return arr[..., cols] if isinstance(cols, slice) else arr.take(cols, axis=-1)
+
+
+def _with_columns(arr, cols, part):
+    """A copy of ``arr`` with ``part`` in its columns ``cols`` (last axis)."""
     out = arr.copy()
     out[..., cols] = part
     return out
 
 
+def _quantized_rbm(pmap, layer, params, cols):
+    """``params``, [W, hidden bias, visible bias] of the RBM under hidden layer
+    ``layer`` (plus [class weights, class bias] for the top RBM) whose W and hidden
+    bias hold only the neurons ``cols``, quantized into new arrays (an empty W and
+    hidden bias come back as they are); without a map, ``params`` themselves. The
+    global budget governs the visible bias at layer 0, the layer below's neurons
+    above it."""
+    if pmap is None:
+        return params
+    w, hb, vb, *cls = params
+    bits = pmap.hidden_frac_bits[layer][cols]
+    if len(bits):
+        w, hb = _quantize_columns(w, bits, pmap), _quantize_columns(hb, bits, pmap)
+    vb = (quantize_all(vb, pmap.weight_format(pmap.global_frac_bits)) if layer == 0
+          else _quantize_columns(vb, pmap.hidden_frac_bits[layer - 1], pmap))
+    cfmt = pmap.weight_format(pmap.class_frac_bits)
+    return [w, hb, vb] + [quantize_all(p, cfmt) for p in cls]
+
+
 def _requantize_layer(model, layer, cols=slice(None)):
     """Requantize the RBM under hidden layer ``layer`` into new arrays: the
     weight and hidden-bias columns of its neurons ``cols`` (default all) and its
-    whole visible bias, which the global budget governs at layer 0 and the
-    layer below's neurons above it. Weights with no column to requantize stay
-    shared."""
-    pmap = model.precision
-    if pmap is None:
+    whole visible bias. Weights with no column to requantize stay shared."""
+    if model.precision is None:
         return
-    bits = pmap.hidden_frac_bits[layer]
-    if len(bits[cols]):
-        model.weights[layer] = _requantized(model.weights[layer], bits, pmap, cols)
-        model.hidden_biases[layer] = _requantized(model.hidden_biases[layer], bits,
-                                                  pmap, cols)
-    vb = model.visible_biases[layer]
-    model.visible_biases[layer] = (
-        quantize_all(vb, pmap.weight_format(pmap.global_frac_bits)) if layer == 0
-        else _quantize_columns(vb, pmap.hidden_frac_bits[layer - 1], pmap))
+    w, hb, vb = _rbm_params(model, layer, False)
+    qw, qhb, model.visible_biases[layer] = _quantized_rbm(
+        model.precision, layer, [_columns(w, cols), _columns(hb, cols), vb], cols)
+    if len(qhb) == len(hb):  # every column
+        model.weights[layer], model.hidden_biases[layer] = qw, qhb
+    elif len(qhb):
+        model.weights[layer] = _with_columns(w, cols, qw)
+        model.hidden_biases[layer] = _with_columns(hb, cols, qhb)
 
 
 def _exact_layers(model):
@@ -403,11 +434,21 @@ def _cd(model, layer, data, config, rng, targets=None):
     the discriminative top RBM: a one-hot class block joins the visible
     layer and reconstructs through a softmax, sampling one class
     (Larochelle & Bengio, 2008). Under a precision map, gradients
-    accumulate in full-precision master parameters while the model's own
-    parameters (used by every forward pass) are re-quantized after each
-    update."""
+    accumulate in full-precision masters, the forward passes use them
+    quantized after each update, and the model (on its map's grid, as
+    ``apply_precision`` leaves it) gets them at the end. Below the top, only
+    live neurons' columns train: a pruned neuron's +0 column has
+    up-probability 0.5 and moves no parameter that survives quantizing; its
+    uniforms are still drawn. The top RBM trains every column, as its class
+    weights read the pruned neurons' states."""
     top = targets is not None
-    master = [p.copy() for p in _rbm_params(model, layer, top)]
+    pmap = model.precision
+    width = model.layer_sizes[layer + 1]
+    live = (slice(None) if top or pmap is None
+            else np.flatnonzero(pmap.hidden_frac_bits[layer]))
+    w, hb, *rest = _rbm_params(model, layer, top)
+    params = [_columns(w, live), _columns(hb, live), *rest]
+    master = [np.array(p) for p in params]
     vel = [np.zeros_like(p) for p in master]
     n = len(data)
     for _ in range(config.epochs):
@@ -416,14 +457,15 @@ def _cd(model, layer, data, config, rng, targets=None):
             sel = order[start:start + config.batch_size]
             x0 = data[sel]
             t0 = targets[sel] if top else None
-            w, hb, vb, *cls = _rbm_params(model, layer, top)
+            w, hb, vb, *cls = params
 
             def up(x, t):
                 z = x @ w if t is None else x @ w + t @ cls[0].T
                 return sigmoid(z + hb)
 
             ph0 = up(x0, t0)
-            h0 = (rng.random(ph0.shape) < ph0).astype(np.float64)
+            u = _columns(rng.random((len(x0), width)), live)
+            h0 = (u < ph0).astype(np.float64)
             x1 = sigmoid(h0 @ w.T + vb)
             t1 = _sample_one_hot(softmax(h0 @ cls[0] + cls[1]), rng) if top else None
             ph1 = up(x1, t1)
@@ -438,16 +480,16 @@ def _cd(model, layer, data, config, rng, targets=None):
             for i, g in enumerate(grads):
                 vel[i] = MOMENTUM * vel[i] + g
                 master[i] = master[i] + vel[i]
-            _set_rbm_params(model, layer, master)
-            _requantize_layer(model, layer)
-            if top:
-                _requantize_class(model)
+            params = _quantized_rbm(pmap, layer, master, live)
         # after every epoch, so a diverged run stops at its first bad one;
-        # the masters, not the model's parameters: quantizing clips inf
+        # the masters, not the quantized parameters: quantizing clips inf
         if not all(np.isfinite(p).all() for p in master):
             raise FloatingPointError(
                 f"CD training of the RBM under hidden layer {layer} diverged: "
                 "a parameter is not finite")
+    w, hb, *rest = params  # full width, +0 in the pruned columns
+    _set_rbm_params(model, layer, [_with_columns(np.zeros((len(w), width)), live, w),
+                                   _with_columns(np.zeros(width), live, hb), *rest])
 
 
 def _train_rbm(model, layer, data, config, rng):

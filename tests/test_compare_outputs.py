@@ -1,7 +1,9 @@
 """``tools/compare_outputs.py`` on a tiny version of a benchmark workload:
 a tree compared with itself shows no difference, and a tree whose output
-changes by one byte is caught, for one seed or several in one call; with
-no flags it runs every workload with the seeds 1, 7 and 32."""
+changes by one byte is caught in every run that prints it (``search_full``
+only on a workload with three or more hidden layers), for one seed or
+several in one call; with no flags it runs every workload with the seeds
+1, 7 and 32."""
 
 import dataclasses
 import importlib.util
@@ -23,22 +25,26 @@ def tool():
     return module
 
 
-def _tiny(tool):
-    retrain = tool.load_workloads().WORKLOADS["retrain"]
-    return dataclasses.replace(retrain, hidden_sizes=(12, 8), train_count=200,
-                               test_count=30, curve_random_orders=1)
+def _tiny(tool, name="retrain"):
+    real = tool.load_workloads().WORKLOADS[name]
+    return dataclasses.replace(real, hidden_sizes=(12, 8, 6)[:len(real.hidden_sizes)],
+                               train_count=200, test_count=30,
+                               curve_random_orders=min(real.curve_random_orders, 1),
+                               curve_count=min(real.curve_count, 30))
 
 
 def test_tree_matches_itself(tool, tmp_path):
     assert tool.compare(ROOT, ROOT, _tiny(tool), 1, tmp_path) == []
 
 
-def _changed_tree(path):
+def _changed_tree(path, old='print(f"wrote {len(curves)}', new='print(f"Wrote {len(curves)}'):
+    """A copy of the sources whose CLI prints ``new`` where it printed ``old``."""
     shutil.copytree(ROOT / "src", path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     cli = path / "src" / "approxdbn" / "cli.py"
-    cli.write_text(cli.read_text().replace('print(f"wrote {len(curves)}',
-                                           'print(f"Wrote {len(curves)}'))
+    text = cli.read_text()
+    assert old in text
+    cli.write_text(text.replace(old, new))
     return path
 
 
@@ -48,6 +54,18 @@ def test_changed_output_is_caught(tool, tmp_path):
     # curve_wide runs the same command on other budgets, so it prints the line too
     assert [d.split(" (")[0] for d in diffs] == ["differs: stdout:curve",
                                                  "differs: stdout:curve_wide"]
+
+
+@pytest.mark.parametrize("name,searches", [
+    ("retrain", ["search", "search_test"]),
+    # three hidden layers: search_full retrains layer 1 as a lower RBM
+    ("sweep", ["search", "search_full", "search_test"]),
+])
+def test_changed_search_output_is_caught(tool, tmp_path, name, searches):
+    changed = _changed_tree(tmp_path / "changed", 'print(f"final relative',
+                            'print(f"Final relative')
+    diffs = tool.compare(ROOT, changed, _tiny(tool, name), 1, tmp_path / "work")
+    assert [d.split(" (")[0] for d in diffs] == [f"differs: stdout:{s}" for s in searches]
 
 
 def test_several_seeds(tool, tmp_path, monkeypatch, capsys):

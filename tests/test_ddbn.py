@@ -209,12 +209,13 @@ class TestTraining:
         assert any("overflow" in str(w.message) for w in record)
 
     def test_diverged_training_stops_after_first_bad_epoch(self, tiny_data, monkeypatch):
-        # 60 samples in batches of 10: 6 updates per epoch, 20 epochs
+        # 60 samples in batches of 10: 6 updates per epoch, 20 epochs; CD
+        # runs its quantize step once per update, with or without a map
         X, T, _ = tiny_data
         calls = []
-        set_params = ddbn._set_rbm_params
-        monkeypatch.setattr(ddbn, "_set_rbm_params",
-                            lambda *a: (calls.append(1), set_params(*a)))
+        step = ddbn._quantized_rbm
+        monkeypatch.setattr(ddbn, "_quantized_rbm",
+                            lambda *a: (calls.append(1), step(*a))[1])
         cfg = TrainConfig(epochs=20, batch_size=10, learning_rate=1.7e308)
         with pytest.warns(RuntimeWarning), \
                 pytest.raises(FloatingPointError, match="not finite"):
@@ -264,21 +265,20 @@ class TestRetrainQuantized:
         np.testing.assert_array_equal(out.weights[0][:, 2], 0.0)
 
     def test_requantizing_leaves_the_masters_unquantized(self, tiny_data):
-        # _cd hands its full-precision masters to the model, then requantizes
+        # _cd quantizes its full-precision masters after every update
         X, T, _ = tiny_data
         model = train_ddbn(X, T, [12, 5, 4, 10], TrainConfig(epochs=1, batch_size=10))
-        model = model.apply_precision(PrecisionMap.uniform([5, 4], 3))
+        pmap = PrecisionMap.uniform([5, 4], 3)
+        pmap.hidden_frac_bits[0][[1, 4]] = 0
+        model = model.apply_precision(pmap)
         rng = np.random.default_rng(4)
-        for layer, top in ((0, False), (1, True)):
-            master = [p + rng.uniform(-0.01, 0.01, p.shape)
-                      for p in ddbn._rbm_params(model, layer, top)]
+        for layer, top, live in ((0, False, np.array([0, 2, 3])), (1, True, slice(None))):
+            w, hb, *rest = ddbn._rbm_params(model, layer, top)
+            master = [p + rng.uniform(-0.01, 0.01, p.shape) for p in
+                      [ddbn._columns(w, live), ddbn._columns(hb, live), *rest]]
             before = [p.tobytes() for p in master]
-            ddbn._set_rbm_params(model, layer, master)
-            ddbn._requantize_layer(model, layer)
-            if top:
-                ddbn._requantize_class(model)
+            quantized = ddbn._quantized_rbm(pmap, layer, master, live)
             assert [p.tobytes() for p in master] == before
-            quantized = ddbn._rbm_params(model, layer, top)
             assert all(q is not p and q.tobytes() != p.tobytes()
                        for q, p in zip(quantized, master))
 
@@ -363,6 +363,103 @@ class TestTrainStack:
             np.testing.assert_array_equal(out.hidden_biases[layer][bits == 0], 0.0)
             assert not np.signbit(out.weights[layer][:, bits == 0]).any()
         assert _parameter_bytes(out.apply_precision(pmap)) == _parameter_bytes(out)
+
+
+def _full_width_cd(model, layer, data, config, rng, targets=None):
+    """The reference for ``ddbn._cd``: CD-1 on every column of the RBM under
+    hidden layer ``layer``, pruned or not, writing the masters into the model
+    and requantizing it after every update."""
+    top = targets is not None
+    master = [p.copy() for p in ddbn._rbm_params(model, layer, top)]
+    vel = [np.zeros_like(p) for p in master]
+    n = len(data)
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            sel = order[start:start + config.batch_size]
+            x0 = data[sel]
+            t0 = targets[sel] if top else None
+            w, hb, vb, *cls = ddbn._rbm_params(model, layer, top)
+
+            def up(x, t):
+                z = x @ w if t is None else x @ w + t @ cls[0].T
+                return sigmoid(z + hb)
+
+            ph0 = up(x0, t0)
+            h0 = (rng.random(ph0.shape) < ph0).astype(np.float64)
+            x1 = sigmoid(h0 @ w.T + vb)
+            t1 = (ddbn._sample_one_hot(softmax(h0 @ cls[0] + cls[1]), rng)
+                  if top else None)
+            ph1 = up(x1, t1)
+            b = len(x0)
+            lr = config.learning_rate
+            grads = [lr * (x0.T @ ph0 - x1.T @ ph1) / b,
+                     lr * (ph0 - ph1).mean(axis=0),
+                     lr * (x0 - x1).mean(axis=0)]
+            if top:
+                grads += [lr * (ph0.T @ t0 - ph1.T @ t1) / b,
+                          lr * (t0 - t1).mean(axis=0)]
+            for i, g in enumerate(grads):
+                vel[i] = ddbn.MOMENTUM * vel[i] + g
+                master[i] = master[i] + vel[i]
+            ddbn._set_rbm_params(model, layer, master)
+            ddbn._requantize_layer(model, layer)
+            if top:
+                ddbn._requantize_class(model)
+
+
+class TestLiveColumnCd:
+    """``_cd`` trains only the live columns of a lower RBM under a map, and
+    every column of the top RBM or of a model without one: the same bytes and
+    generator state as CD on every column."""
+
+    SIZES = [12, 6, 5, 4, 10]
+
+    @pytest.mark.parametrize("layer,pruned", [
+        (0, None),                        # no map, a lower RBM
+        (2, None),                        # no map, the top RBM
+        (2, {2: [0, 3]}),                 # the top RBM, pruned top neurons
+        (0, {}),                          # layer 0, none pruned
+        (0, {0: [1, 4], 1: [2]}),         # layer 0, some pruned
+        (0, {0: range(6)}),               # layer 0, all pruned
+        (1, {0: [0, 5], 1: [1, 2, 4]}),   # layer 1: its visible bias follows layer 0
+    ])
+    def test_bytes_and_generator_match_every_column_cd(self, tiny_data, layer, pruned):
+        X, T, _ = tiny_data
+        model = train_ddbn(X, T, self.SIZES, TrainConfig(epochs=1, batch_size=10, seed=5))
+        if pruned is not None:
+            pmap = PrecisionMap.uniform(self.SIZES[1:-1], 4)
+            for k, idx in pruned.items():
+                pmap.hidden_frac_bits[k][list(idx)] = 0
+            model = model.apply_precision(pmap)
+        data = X
+        for k in range(layer):
+            data = model.hidden_probs(k, data)
+        targets = T if layer == model.num_hidden_layers - 1 else None
+        # a short last batch
+        self._assert_matches(model, layer, data, TrainConfig(epochs=2, batch_size=25),
+                             targets)
+
+    def test_workload_width_matches_every_column_cd(self):
+        # the workload's widths and batch: the gradients' products are not exact
+        # sums, and 70 live columns must give the bytes of 100
+        rng = np.random.default_rng(0)
+        X = (rng.random((300, 784)) > 0.7).astype(float)
+        pmap = PrecisionMap.uniform([100, 50], 6)
+        pmap.hidden_frac_bits[0][rng.choice(100, 30, replace=False)] = 0
+        model = DdbnModel.random_init([784, 100, 50, 10], seed=1, scale=0.05)
+        self._assert_matches(model.apply_precision(pmap), 0, X,
+                             TrainConfig(epochs=1, batch_size=100))
+
+    @staticmethod
+    def _assert_matches(model, layer, data, cfg, targets=None):
+        want, got = copy.deepcopy(model), copy.deepcopy(model)
+        want_rng, got_rng = np.random.default_rng(9), np.random.default_rng(9)
+        _full_width_cd(want, layer, data, cfg, want_rng, targets)
+        ddbn._cd(got, layer, data, cfg, got_rng, targets)
+        assert _parameter_bytes(got) == _parameter_bytes(want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert _parameter_bytes(got) != _parameter_bytes(model)
 
 
 class TestEvaluate:
@@ -456,6 +553,29 @@ class TestQuantizedInference:
     def test_negative_budget_rejected(self, hidden, class_bits, global_bits):
         with pytest.raises(ValueError, match="nonnegative"):
             PrecisionMap([np.array(b) for b in hidden], class_bits, global_bits)
+
+    @pytest.mark.parametrize("hidden,fields,name", [
+        ([[3.7, 2.2]], {}, r"hidden_frac_bits\[0\]"),
+        ([[3, 2], [2.0]], {}, r"hidden_frac_bits\[1\]"),
+        ([[3, 2]], {"class_frac_bits": 3.5}, "class_frac_bits 3.5"),
+        ([[3, 2]], {"global_frac_bits": 3.0}, "global_frac_bits 3.0"),
+        ([[3, 2]], {"weight_int_bits": 7.5}, "weight_int_bits 7.5"),
+        ([[3, 2]], {"activation_frac_bits": np.float64(8)}, "activation_frac_bits"),
+    ])
+    def test_non_integer_budget_rejected(self, hidden, fields, name):
+        """Not truncated, and not accepted to fail only when saved."""
+        with pytest.raises(ValueError, match=f"{name}.*must be integers"):
+            PrecisionMap(hidden, **{"class_frac_bits": 3, "global_frac_bits": 3, **fields})
+
+    def test_numpy_integer_budgets_accepted(self, tmp_path):
+        pmap = PrecisionMap([np.array([3, 0], np.int32)], np.int64(3), np.uint8(2),
+                            weight_int_bits=np.int16(7))
+        model = DdbnModel.random_init([6, 2, 10], seed=0).apply_precision(pmap)
+        save_model(model, tmp_path / "m.bin")
+        loaded = load_model(tmp_path / "m.bin").precision
+        assert loaded.hidden_frac_bits[0].tolist() == [3, 0]
+        assert (loaded.class_frac_bits, loaded.global_frac_bits,
+                loaded.weight_int_bits) == (3, 2, 7)
 
     def test_budgets_given_as_lists_are_int64_arrays(self):
         pmap = PrecisionMap([[3] * 5, [2] * 4], 3, 3)

@@ -11,8 +11,10 @@ each tree's ``src/`` (BLAS pinned to one thread): the workload's
 ``train``, ``search``, ``curve`` and ``eval``, plus ``search`` with the
 test images set, ``curve_wide`` (``curve`` with 24-bit budgets, where the
 candidate evaluator keeps no layer) and ``eval`` in the other inference
-mode. Both trees write to the same output directory, one after the other,
-since some commands print that path. It hashes every file the commands write,
+mode. On a workload with three or more hidden layers it adds ``search_full``
+(variant ``full``, 2 retrain epochs, 5% loss), whose retrains train layer 1
+as a lower RBM under a precision map. Both trees write to the same output
+directory, one after the other, since some commands print that path. It hashes every file the commands write,
 except ``config_echo.json`` (it names the input paths), plus each
 command's standard output and exit code. It prints every difference and every command that did not exit 0, run by
 run, and exits 1 if there is one for any run, else 0.
@@ -38,6 +40,8 @@ SEEDS = (1, 7, 32)
 # more than float64's 53, so the candidate evaluator keeps no layer and walks
 # every candidate from the images
 WIDE_FRAC_BITS = 24
+# search_full's settings: the full method, kept short
+FULL_SEARCH = {"variant": "full", "retrain_epochs": 2, "max_relative_accuracy_loss": 0.05}
 
 
 def load_workloads():
@@ -75,13 +79,19 @@ def commands(inputs, out):
     other = "mean_field" if inputs.workload.eval_mode == "stochastic" else "stochastic"
     mode = eval_argv.index("--mode") + 1
     model = os.path.join(out, "train", "model.bin")
-    return cmds + [
+    cmds = cmds + [
         ("search_test", ["search", "--config", test_config, "--model", model,
                          "--out", os.path.join(out, "search_test")]),
         ("curve_wide", ["curve", "--config", wide_config, "--model", model,
                         "--out", os.path.join(out, "curve_wide")]),
         ("eval_other", eval_argv[:mode] + [other] + eval_argv[mode + 1:]),
     ]
+    if len(inputs.workload.hidden_sizes) > 2:  # a lower RBM above layer 0
+        full_config = _config(inputs, inputs.config, "search_full_config.json",
+                              search=dict(inputs.workload.search, **FULL_SEARCH))
+        cmds.append(("search_full", ["search", "--config", full_config, "--model", model,
+                                     "--out", os.path.join(out, "search_full")]))
+    return cmds
 
 
 def _sha256(data):
