@@ -2,7 +2,7 @@
 criticality analysis, and greedy fixed-point bit-length reduction under
 an accuracy constraint."""
 
-from .fixedpoint import FixedPointFormat, quantize_all
+from .fixedpoint import quantize_all
 from .dataset import LabeledBinaryDataset, binarize, load_idx, split
 from .ddbn import (
     DdbnModel,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fixedpoint import FixedPointFormat, quantize_all, quantize_grid
+from .fixedpoint import quantize_all
 
 MODEL_MAGIC = b"ADBN"
 MODEL_VERSION = 1
@@ -101,12 +101,14 @@ class PrecisionMap:
         if low < 0:
             raise ValueError(f"bit budget {low}: budgets must be nonnegative")
         top = max(budgets + [int(np.max(b, initial=0)) for b in self.hidden_frac_bits])
-        try:  # every budget's formats fit 64 bits; if all are 0, a 1-bit budget's
-            self.weight_format(max(top, 1)), self.activation_format(max(top, 1))
-        except ValueError as e:
-            raise ValueError(
-                f"bit budget {top}, weight_int_bits {self.weight_int_bits}, "
-                f"activation_frac_bits {self.activation_frac_bits}: {e}") from e
+        n = max(top, 1)  # its formats fit 64 bits (a 1-bit budget's if all are 0)
+        for m, n in ((self.weight_int_bits, n), (0, self.activation_bits(n))):
+            problem = ("bit counts must be nonnegative" if min(m, n) < 0 else
+                       "total bit-length must not exceed 64" if m + n > 64 else None)
+            if problem:
+                raise ValueError(
+                    f"bit budget {top}, weight_int_bits {self.weight_int_bits}, "
+                    f"activation_frac_bits {self.activation_frac_bits}: {problem}")
 
     @classmethod
     def uniform(cls, hidden_sizes, frac_bits, activation_frac_bits=0):
@@ -120,32 +122,21 @@ class PrecisionMap:
     def copy(self):
         return replace(self, hidden_frac_bits=[b.copy() for b in self.hidden_frac_bits])
 
-    def weight_format(self, budget):
-        """Signed Qm.n for the weights, biases and pre-activations a
-        budget of n fractional bits governs; a 0-bit budget collapses to
-        the zero-only format (pruning)."""
-        if budget == 0:
-            return FixedPointFormat(signed=True, int_bits=0, frac_bits=0)
-        return FixedPointFormat(signed=True, int_bits=self.weight_int_bits,
-                                frac_bits=budget)
-
-    def activation_format(self, budget):
-        """Unsigned Q0.n for sigmoid/softmax outputs in [0, 1); n is the
-        budget unless ``activation_frac_bits`` fixes it, and a 0-bit
-        (pruned) neuron always has a zero-bit activation."""
-        if budget and self.activation_frac_bits:
-            budget = self.activation_frac_bits
-        return FixedPointFormat(signed=False, int_bits=0, frac_bits=budget)
+    def activation_bits(self, bits):
+        """The activation bits of the budgets ``bits``, a scalar or an array: a set
+        ``activation_frac_bits`` replaces a nonzero budget; 0 (pruned) stays 0."""
+        return (bits > 0) * self.activation_frac_bits if self.activation_frac_bits else bits
 
     def grid(self, bits, activation):
-        """``quantize_grid``'s scale, lo and hi of the activation or weight format
-        of each budget in the array ``bits``, as FixedPointFormat gives them."""
-        if activation and self.activation_frac_bits:
-            bits = np.where(bits > 0, self.activation_frac_bits, 0)
+        """``quantize_all``'s scale, lo and hi for the budgets ``bits``, a scalar or one
+        per column: unsigned Q0.n activations (n from ``activation_bits``) or signed
+        Qm.n weights, biases and pre-activations (m = ``weight_int_bits``). A 0-bit
+        budget gives the zero-only format, lo == hi == 0 (pruning)."""
+        if activation:
+            bits = self.activation_bits(bits)
         top = 1.0 if activation else 2.0 ** (self.weight_int_bits - 1)
-        live, scale = bits > 0, np.ldexp(1.0, bits)
-        return (scale, np.where(live, 0.0 if activation else -top, 0.0),
-                np.where(live, top - 1.0 / scale, 0.0))
+        live, scale = bits > 0, np.ldexp(1.0, bits)  # 0 bits: lo == hi == +-0.0
+        return scale, live * (0.0 if activation else -top), live * (top - 1.0 / scale)
 
     def total_hidden_bits(self) -> int:
         return int(sum(b.sum() for b in self.hidden_frac_bits))
@@ -166,8 +157,9 @@ class PrecisionMap:
 
 
 def _quantize_columns(arr, frac_bits, pmap, activation=False):
-    """Quantize each column of ``arr`` (last axis) under its own budget's format."""
-    return quantize_grid(arr, *pmap.grid(np.asarray(frac_bits), activation))
+    """Quantize each column of ``arr`` (last axis) under its own budget's format,
+    or every element under one budget's for a scalar ``frac_bits``."""
+    return quantize_all(arr, *pmap.grid(np.asarray(frac_bits), activation))
 
 
 @dataclass
@@ -233,8 +225,8 @@ class DdbnModel:
         if pmap is None:
             return softmax(z)
         n = pmap.class_frac_bits
-        z = quantize_all(z, pmap.weight_format(n))
-        return quantize_all(softmax(z), pmap.activation_format(n))
+        z = _quantize_columns(z, n, pmap)
+        return _quantize_columns(softmax(z), n, pmap, activation=True)
 
     def forward_hidden(self, v):
         """Mean-field activations of every hidden layer, first to last."""
@@ -252,9 +244,11 @@ class DdbnModel:
         mode ``_CHUNK`` images, stochastic mode ``_CHUNK // samples``
         images (at least one) with ``samples`` sampled rows each. Image i's
         samples still come from its own generator, seeded with (seed, i).
-        For a quantized model on binary inputs the result is byte-identical
-        to a run one image at a time; without a precision map it can
-        differ in the last bits, as mean-field chunking can."""
+        The result is byte-identical to a run one image at a time when float64
+        adds every layer's sums exactly (``_exact_layers``: a quantized model
+        on binary inputs, within 53 bits per sum). Otherwise, without a
+        precision map too, it can differ in the last bits, as the matrix
+        products of different row counts can."""
         v = np.asarray(v, dtype=np.float64)
         check_finite(v, "images")
         single = v.ndim == 1
@@ -358,10 +352,9 @@ def _quantized_rbm(pmap, layer, params, cols):
     bits = pmap.hidden_frac_bits[layer][cols]
     if len(bits):
         w, hb = _quantize_columns(w, bits, pmap), _quantize_columns(hb, bits, pmap)
-    vb = (quantize_all(vb, pmap.weight_format(pmap.global_frac_bits)) if layer == 0
-          else _quantize_columns(vb, pmap.hidden_frac_bits[layer - 1], pmap))
-    cfmt = pmap.weight_format(pmap.class_frac_bits)
-    return [w, hb, vb] + [quantize_all(p, cfmt) for p in cls]
+    vb = _quantize_columns(vb, pmap.hidden_frac_bits[layer - 1] if layer
+                           else pmap.global_frac_bits, pmap)
+    return [w, hb, vb] + [_quantize_columns(p, pmap.class_frac_bits, pmap) for p in cls]
 
 
 def _requantize_layer(model, layer, cols=slice(None)):
@@ -390,7 +383,7 @@ def _exact_layers(model):
     if pmap is None:
         return [False] * (model.num_hidden_layers + 1)
     b = [int(bits.max()) for bits in pmap.hidden_frac_bits] + [pmap.class_frac_bits]
-    a = [0] + [pmap.activation_format(n).frac_bits for n in b[:-1]]
+    a = [0] + [pmap.activation_bits(n) for n in b[:-1]]
     return [pmap.weight_int_bits + a_in + b_w + math.ceil(math.log2(size)) <= 53
             for a_in, b_w, size in zip(a, b, model.layer_sizes)]
 
@@ -399,9 +392,9 @@ def _requantize_class(model):
     pmap = model.precision
     if pmap is None:
         return
-    cfmt = pmap.weight_format(pmap.class_frac_bits)
-    model.class_weights = quantize_all(model.class_weights, cfmt)
-    model.class_bias = quantize_all(model.class_bias, cfmt)
+    model.class_weights, model.class_bias = (
+        _quantize_columns(p, pmap.class_frac_bits, pmap)
+        for p in (model.class_weights, model.class_bias))
 
 
 def _sample_one_hot(probs, rng):
@@ -556,9 +549,9 @@ def evaluate_accuracy(model, images, labels, mode="mean_field",
 
 def confusion_counts(model, images, labels, mode="mean_field",
                      samples=10, seed=0):
-    """10x10 matrix of (true label, predicted label) counts."""
+    """(true label, predicted label) counts, one row and column per class."""
     preds, _ = model.classify(images, mode, samples, seed)
-    counts = np.zeros((10, 10), dtype=np.int64)
+    counts = np.zeros((model.layer_sizes[-1],) * 2, dtype=np.int64)
     np.add.at(counts, (np.asarray(labels), preds), 1)
     return counts
 

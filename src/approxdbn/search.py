@@ -259,7 +259,9 @@ def approximation_curve(model, config, train_images, train_one_hot,
                         order_seed=0):
     """Accuracy after pruning the first c neurons (c = 0..N) of the given
     order, on a uniform baseline-format model. Point c's model is built
-    from point c - 1's."""
+    from point c - 1's. ``order`` is "criticality" or "random"."""
+    if order not in ("criticality", "random"):
+        raise ValueError(f"unknown order {order!r}")
     pmap = PrecisionMap.uniform(model.hidden_sizes, config.baseline_frac_bits)
     rng = np.random.default_rng(order_seed)
     ordering = _neuron_order(model, order == "criticality",

@@ -1,10 +1,9 @@
 import os
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-
-from approxdbn.fixedpoint import FixedPointFormat
 
 MNIST_DIR = os.environ.get("APPROXDBN_MNIST_DIR", "/root/data/mnist")
 
@@ -40,13 +39,62 @@ def write_idx_pair(images, labels, images_path, labels_path,
         f.write(labels.tobytes())
 
 
+@dataclass(frozen=True)
+class Format:
+    """A Qm.n format, the tests' own statement of the Qm.n rule: ``int_bits``
+    integer bits (the sign bit included when signed) and ``frac_bits``
+    fractional bits. A format with zero total bits represents only 0."""
+
+    signed: bool
+    int_bits: int
+    frac_bits: int
+
+    @property
+    def total_bits(self):
+        return self.int_bits + self.frac_bits
+
+    @property
+    def step(self):
+        return 2.0 ** -self.frac_bits
+
+    @property
+    def min_value(self):
+        if self.total_bits == 0 or not self.signed:
+            return 0.0
+        return -(2.0 ** (self.int_bits - 1))
+
+    @property
+    def max_value(self):
+        if self.total_bits == 0:
+            return 0.0
+        return 2.0 ** (self.int_bits - 1 if self.signed else self.int_bits) - self.step
+
+    @property
+    def bounds(self):
+        """``quantize_all``'s scale, lo and hi for this format."""
+        return 2.0 ** self.frac_bits, self.min_value, self.max_value
+
+
+def weight_format(pmap, budget):
+    """The signed Qm.n of the weights, biases and pre-activations a budget of n
+    bits governs under ``pmap``; a 0-bit budget is the zero-only format."""
+    return Format(True, pmap.weight_int_bits if budget else 0, budget)
+
+
+def activation_format(pmap, budget):
+    """The unsigned Q0.n of the activations a budget governs: n is the budget
+    unless ``pmap.activation_frac_bits`` fixes it; a 0-bit budget stays 0."""
+    return Format(False, 0, pmap.activation_frac_bits if budget and
+                  pmap.activation_frac_bits else budget)
+
+
 def small_formats(max_total=6):
     """Every signed and unsigned format with total bit-length <= max_total."""
     out = []
     for signed in (True, False):
         for m in range(max_total + 1):
             for n in range(max_total + 1 - m):
-                out.append(FixedPointFormat(signed, m, n))
+                out.append(Format(signed, m, n))
     return out
 
 

@@ -7,6 +7,7 @@ five-seed ablation comparisons, on MNIST and on generated digits, are
 marked slow and excluded from the default run; select them with ``-m slow``.
 """
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -26,6 +27,7 @@ from approxdbn.ddbn import (
     TrainConfig,
     evaluate_accuracy,
     load_model,
+    retrain_quantized,
     train_ddbn,
 )
 from approxdbn.fixedpoint import quantize_all
@@ -89,7 +91,7 @@ def test_quantization_matches_exhaustive_oracle():
     mismatches = 0
     formats = small_formats(max_total=6)
     for fmt in formats:
-        got = quantize_all(xs, fmt)
+        got = quantize_all(xs, *fmt.bounds)
         want = brute_force_quantize(xs, fmt)
         mismatches += int(np.count_nonzero(got != want))
     report("quantization-oracle", mismatches == 0,
@@ -361,3 +363,65 @@ def test_thread_count_determinism_generated(tmp_path):
     _report_thread_determinism(
         "thread-determinism-generated",
         _differences_across_thread_counts(tmp_path, config))
+
+
+def _sha256(arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+# SHA-256 of the outputs below, computed with the format-object quantizer
+# (FixedPointFormat and PrecisionMap.weight_format/activation_format) that
+# PrecisionMap.grid replaced: the bounds are the same floats, so the bytes
+# must not change
+WIDE_PATH_SHA256 = {
+    8: {
+        "apply_precision":
+            "87ba7b03ad5665ccb553e2487922a1a42acf651ce4c39cc9f6306673ea37432a",
+        "classify":
+            "9b35957b9df66830677306f0c8dc979a3be15787ca476eee5a4ad74a0771af20",
+        "retrain_quantized":
+            "990ab1e2d8d8b788abfe67501e92d14cec5d8fdff4e081fd715eced032d7161c",
+    },
+    64: {
+        "apply_precision":
+            "87ba7b03ad5665ccb553e2487922a1a42acf651ce4c39cc9f6306673ea37432a",
+        "classify":
+            "af01fb1955e3a1640065133c4d4d747dc92ad3b36b2af5f50fe4011a77469437",
+        "retrain_quantized":
+            "54eec626109c319cd2e7d5085952d488abaeee03d7974215d56a3e76edf8a79e",
+    },
+}
+
+
+def test_activation_frac_bits_path_golden_bytes():
+    """``apply_precision``, ``classify`` (both modes) and a one-epoch
+    ``retrain_quantized`` under ``activation_frac_bits`` 8 and 64, on
+    generated digits, hash to fixed bytes. No CLI config sets
+    ``activation_frac_bits``, so ``tools/compare_outputs.py`` cannot reach this
+    path. At 64 the sums of layers >= 1 are not exact in float64."""
+    gen = _load_generator()
+    images, labels = gen.generate(300, 5, 0.1)
+    x = (images > 127).astype(np.float64)
+    one_hot = np.eye(10)[labels]
+    model = train_ddbn(x[:200], one_hot[:200], [784, 24, 12, 10],
+                       TrainConfig(epochs=1, batch_size=50, seed=3))
+    rng = np.random.default_rng(4)
+    budgets = [rng.integers(0, 13, n) for n in model.hidden_sizes]
+    got = {}
+    for afb in (8, 64):
+        pmap = PrecisionMap([b.copy() for b in budgets], 10, 9, activation_frac_bits=afb)
+        q = model.apply_precision(pmap)
+        pred, probs = q.classify(x[200:])
+        spred, sprobs = q.classify(x[200:], mode="stochastic", samples=3, seed=5)
+        r = retrain_quantized(q, pmap, x[:200], one_hot[:200],
+                              TrainConfig(epochs=1, batch_size=50, seed=6))
+        got[afb] = {"apply_precision": _sha256(_parameters(q)),
+                    "classify": _sha256([pred, probs, spred, sprobs]),
+                    "retrain_quantized": _sha256(_parameters(r))}
+    differ = [f"{afb}/{name}" for afb in got for name in got[afb]
+              if got[afb][name] != WIDE_PATH_SHA256[afb][name]]
+    report("wide-path-golden-bytes", not differ,
+           f"{6 - len(differ)} of 6 hashes match; differ: {differ or 'none'}")

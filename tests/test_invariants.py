@@ -80,6 +80,20 @@ def test_search_invariants(seed, hidden, loss, frac_bits, variant):
         np.testing.assert_array_equal(p, q)
 
 
+@pytest.mark.parametrize("classes", [3, 12])
+def test_confusion_counts_sized_by_the_class_layer(classes):
+    """One row and one column per class of the model, fewer or more than 10."""
+    rng = np.random.default_rng(1)
+    model = DdbnModel.random_init([16, 8, classes], seed=0, scale=1.0)
+    X = (rng.random((200, 16)) > 0.5).astype(float)
+    y = rng.integers(0, classes, len(X))
+    preds, _ = model.classify(X)
+    counts = confusion_counts(model, X, y)
+    assert counts.shape == (classes, classes)
+    np.testing.assert_array_equal(counts.sum(axis=1), np.bincount(y, minlength=classes))
+    np.testing.assert_array_equal(counts.sum(axis=0), np.bincount(preds, minlength=classes))
+
+
 @pytest.mark.parametrize("mode", ["mean_field", "stochastic"])
 def test_inference_paths_agree_across_chunks(mode):
     """classify, evaluate_accuracy and confusion_counts agree on a set

@@ -299,6 +299,12 @@ class TestCurve:
         c2 = approximation_curve(model, cfg, X, T, X, y, order="random", order_seed=3)
         np.testing.assert_array_equal(c1, c2)
 
+    def test_unknown_order_rejected(self, tiny_setup):
+        """A misspelt order raises; it must not run a random-order curve."""
+        model, X, T, y, _ = tiny_setup
+        with pytest.raises(ValueError, match="unknown order 'critcality'"):
+            approximation_curve(model, SearchConfig(), X, T, X, y, order="critcality")
+
 
 class TestArtifacts:
     def test_monotone_guard(self):
