@@ -97,10 +97,11 @@ class PrecisionMap:
                                  "bit counts must be integers")
         self.hidden_frac_bits = [np.asarray(b, np.int64) for b in hidden]
         budgets = [self.class_frac_bits, self.global_frac_bits]
-        low = min(budgets + [int(np.min(b, initial=0)) for b in self.hidden_frac_bits])
+        every = np.concatenate([[0], *self.hidden_frac_bits], axis=None)  # one min, one max
+        low = min(budgets + [int(every.min())])
         if low < 0:
             raise ValueError(f"bit budget {low}: budgets must be nonnegative")
-        top = max(budgets + [int(np.max(b, initial=0)) for b in self.hidden_frac_bits])
+        top = max(budgets + [int(every.max())])
         n = max(top, 1)  # its formats fit 64 bits (a 1-bit budget's if all are 0)
         for m, n in ((self.weight_int_bits, n), (0, self.activation_bits(n))):
             problem = ("bit counts must be nonnegative" if min(m, n) < 0 else
@@ -156,10 +157,41 @@ class PrecisionMap:
             raise ValueError("bit-length increase is not allowed")
 
 
+def _budget_groups(frac_bits, pmap, activation=False):
+    """(bounds, pruned) for ``_quantize_groups`` under the budgets ``frac_bits``, a
+    scalar or one per column, grouped on their effective bits (``activation_bits``):
+    (None, None) if none is live; for one live budget b, the scalar ``pmap.grid(b,
+    activation)`` and the 0-bit columns' indices or None; else per-column bounds."""
+    bits = np.asarray(frac_bits)
+    live = pmap.activation_bits(bits) if activation else bits
+    top = int(live.max(initial=0))  # a Python int: numpy scalar arithmetic is slower
+    if not top:
+        return None, None
+    pruned = live == 0
+    n_pruned = np.count_nonzero(pruned)
+    if n_pruned + np.count_nonzero(live == top) < live.size:
+        return pmap.grid(bits, activation), None
+    # activation_bits maps an effective budget to itself
+    return pmap.grid(top, activation), np.flatnonzero(pruned) if n_pruned else None
+
+
+def _quantize_groups(arr, bounds, pruned):
+    """``arr`` quantized under ``_budget_groups``' result into one fresh array: zeros,
+    with no arithmetic, for no bounds, else ``quantize_all``, then +0.0 in ``pruned``."""
+    if bounds is None:
+        return np.zeros(np.shape(arr))
+    out = quantize_all(arr, *bounds)
+    if pruned is not None:
+        out[..., pruned] = 0.0
+    return out
+
+
 def _quantize_columns(arr, frac_bits, pmap, activation=False):
     """Quantize each column of ``arr`` (last axis) under its own budget's format,
-    or every element under one budget's for a scalar ``frac_bits``."""
-    return quantize_all(arr, *pmap.grid(np.asarray(frac_bits), activation))
+    or every element under one budget's for a scalar ``frac_bits``, into a fresh
+    array. By budget group: no arithmetic when every budget is 0, scalar bounds
+    for one live budget, per-column bounds only for mixed live budgets."""
+    return _quantize_groups(arr, *_budget_groups(frac_bits, pmap, activation))
 
 
 @dataclass
@@ -339,22 +371,26 @@ def _with_columns(arr, cols, part):
     return out
 
 
-def _quantized_rbm(pmap, layer, params, cols):
-    """``params``, [W, hidden bias, visible bias] of the RBM under hidden layer
-    ``layer`` (plus [class weights, class bias] for the top RBM) whose W and hidden
-    bias hold only the neurons ``cols``, quantized into new arrays (an empty W and
-    hidden bias come back as they are); without a map, ``params`` themselves. The
-    global budget governs the visible bias at layer 0, the layer below's neurons
-    above it."""
+def _rbm_groups(pmap, layer, cols, top):
+    """``_budget_groups`` of [W, hidden bias, visible bias] of the RBM under hidden
+    layer ``layer`` (plus [class weights, class bias] for the ``top`` RBM) whose W
+    and hidden bias hold only the neurons ``cols``. The global budget governs the
+    visible bias at layer 0, the layer below's neurons above it."""
+    hidden = _budget_groups(pmap.hidden_frac_bits[layer][cols], pmap)
+    visible = _budget_groups(pmap.hidden_frac_bits[layer - 1] if layer
+                             else pmap.global_frac_bits, pmap)
+    groups = [hidden, hidden, visible]
+    return groups + [_budget_groups(pmap.class_frac_bits, pmap)] * 2 if top else groups
+
+
+def _quantized_rbm(pmap, layer, params, cols, groups=None):
+    """``params``, the RBM's arrays as ``_rbm_groups`` lists them, quantized into new
+    arrays; without a map, ``params`` themselves. ``groups``, their ``_rbm_groups``,
+    lets a caller that quantizes under one map many times build them once."""
     if pmap is None:
         return params
-    w, hb, vb, *cls = params
-    bits = pmap.hidden_frac_bits[layer][cols]
-    if len(bits):
-        w, hb = _quantize_columns(w, bits, pmap), _quantize_columns(hb, bits, pmap)
-    vb = _quantize_columns(vb, pmap.hidden_frac_bits[layer - 1] if layer
-                           else pmap.global_frac_bits, pmap)
-    return [w, hb, vb] + [_quantize_columns(p, pmap.class_frac_bits, pmap) for p in cls]
+    groups = groups or _rbm_groups(pmap, layer, cols, len(params) > 3)
+    return [_quantize_groups(p, *g) for p, g in zip(params, groups)]
 
 
 def _requantize_layer(model, layer, cols=slice(None)):
@@ -443,6 +479,8 @@ def _cd(model, layer, data, config, rng, targets=None):
     params = [_columns(w, live), _columns(hb, live), *rest]
     master = [np.array(p) for p in params]
     vel = [np.zeros_like(p) for p in master]
+    # built once: no budget changes during the call
+    groups = None if pmap is None else _rbm_groups(pmap, layer, live, top)
     n = len(data)
     for _ in range(config.epochs):
         order = rng.permutation(n)
@@ -473,7 +511,7 @@ def _cd(model, layer, data, config, rng, targets=None):
             for i, g in enumerate(grads):
                 vel[i] = MOMENTUM * vel[i] + g
                 master[i] = master[i] + vel[i]
-            params = _quantized_rbm(pmap, layer, master, live)
+            params = _quantized_rbm(pmap, layer, master, live, groups)
         # after every epoch, so a diverged run stops at its first bad one;
         # the masters, not the quantized parameters: quantizing clips inf
         if not all(np.isfinite(p).all() for p in master):
@@ -538,11 +576,19 @@ def retrain_quantized(model, pmap, images, one_hot, config, first=0) -> DdbnMode
     return out
 
 
+def _check_eval_set(images, labels):
+    """Raise ``ValueError`` for an evaluation set that is empty or whose image and
+    label counts differ."""
+    if len(images) != len(labels):
+        raise ValueError(f"{len(images)} images but {len(labels)} labels")
+    if len(images) == 0:
+        raise ValueError("evaluation set is empty")
+
+
 def evaluate_accuracy(model, images, labels, mode="mean_field",
                       samples=10, seed=0):
     """Fraction of samples classified correctly."""
-    if len(images) == 0:
-        raise ValueError("evaluation set is empty")
+    _check_eval_set(images, labels)
     preds, _ = model.classify(images, mode, samples, seed)
     return int((preds == np.asarray(labels)).sum()) / len(images)
 
@@ -550,6 +596,7 @@ def evaluate_accuracy(model, images, labels, mode="mean_field",
 def confusion_counts(model, images, labels, mode="mean_field",
                      samples=10, seed=0):
     """(true label, predicted label) counts, one row and column per class."""
+    _check_eval_set(images, labels)
     preds, _ = model.classify(images, mode, samples, seed)
     counts = np.zeros((model.layer_sizes[-1],) * 2, dtype=np.int64)
     np.add.at(counts, (np.asarray(labels), preds), 1)
@@ -572,8 +619,9 @@ class CandidateEvaluator:
         if model.precision is None:
             raise ValueError("the evaluator needs a model with a precision map")
         self.images = np.asarray(images, dtype=np.float64)
-        check_finite(self.images, "images")
         self.labels = np.asarray(labels)
+        _check_eval_set(self.images, self.labels)
+        check_finite(self.images, "images")
         self.binary = bool(np.isin(self.images, (0.0, 1.0)).all())
         # candidates requantize only the columns they change, which needs the
         # accepted model on its grid; the identity if it already is

@@ -512,6 +512,29 @@ def test_non_finite_input_raises(tiny_data, call, name, value):
         calls[call]()
 
 
+@pytest.mark.parametrize("call", ["evaluate_accuracy", "confusion_counts", "evaluator"])
+@pytest.mark.parametrize("rows,labels,message", [
+    (0, 0, "evaluation set is empty"),
+    (60, 59, "60 images but 59 labels"),
+    (59, 60, "59 images but 60 labels"),
+    (0, 3, "0 images but 3 labels"),
+])
+def test_bad_evaluation_set_raises(tiny_data, call, rows, labels, message):
+    """An empty evaluation set, or one whose image and label counts differ, fails
+    with a ``ValueError`` that says so, not a division by zero or a numpy error."""
+    X, _, y = tiny_data
+    X, y = X[:rows], np.resize(y, labels)
+    model = DdbnModel.random_init([12, 5, 4, 10], seed=0)
+    model = model.apply_precision(PrecisionMap.uniform([5, 4], 6))
+    calls = {
+        "evaluate_accuracy": lambda: evaluate_accuracy(model, X, y),
+        "confusion_counts": lambda: ddbn.confusion_counts(model, X, y),
+        "evaluator": lambda: ddbn.CandidateEvaluator(model, X, y).cut(model.precision),
+    }
+    with pytest.raises(ValueError, match=message):
+        calls[call]()
+
+
 def test_check_finite_tests_elements_not_the_sum():
     """A finite array whose sum overflows passes; a NaN, either infinity, or +inf
     and -inf together (their sum is NaN) fail."""

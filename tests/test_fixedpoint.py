@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from approxdbn import ddbn
 from approxdbn.ddbn import PrecisionMap, _quantize_columns
 from approxdbn.fixedpoint import quantize_all
 
@@ -220,17 +221,84 @@ def _check_column_quantizer(kind, activation_frac_bits, weight_int_bits):
             assert got[:, j].tobytes() == brute_force_quantize(x[:, j], formats[j]).tobytes()
 
 
+GROUP_BUDGETS = {  # one per path of _quantize_columns
+    "all pruned": [0, 0, 0, 0, 0, 0],
+    "one budget": [6, 6, 6, 6, 6, 6],
+    "one budget and pruned": [0, 6, 6, 0, 6, 0],
+    "mixed": [0, 6, 3, 0, 56, 1],
+}
+
+
+def _group_input(rng, budgets):
+    """Rows of wide random values, with NaN, +-inf and -0.0 in the pruned columns."""
+    x = 300 * rng.standard_normal((40, len(budgets)))
+    pruned = np.flatnonzero(np.asarray(budgets) == 0)
+    for row, value in enumerate((np.nan, np.inf, -np.inf, -0.0)):
+        x[row::4, pruned] = value
+    return x
+
+
+@pytest.mark.parametrize("group", GROUP_BUDGETS)
+@pytest.mark.parametrize("activation", [False, True])
+@pytest.mark.parametrize("activation_frac_bits", [0, 64])
+@pytest.mark.parametrize("weight_int_bits", [8, 0])
+def test_budget_groups_give_the_per_column_bytes(group, activation, activation_frac_bits,
+                                                 weight_int_bits):
+    """Each budget group gives the bytes of one ``quantize_all`` call under the
+    per-column bounds of ``PrecisionMap.grid``, for 2-D and 1-D inputs and for
+    column subsets, whatever a pruned column holds."""
+    budgets = np.array(GROUP_BUDGETS[group])
+    pmap = PrecisionMap([budgets], 8, 8, weight_int_bits=weight_int_bits,
+                        activation_frac_bits=activation_frac_bits)
+    x = _group_input(np.random.default_rng(7), budgets)
+
+    def check(arr, bits):
+        want = quantize_all(arr, *pmap.grid(bits, activation))
+        got = _quantize_columns(arr, bits, pmap, activation)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (group, bits)
+
+    for rows in (x, x[3], x[:0]):  # 2-D, 1-D like a bias, no rows
+        check(rows, budgets)
+        for cols in ([5, 1, 3], [0], [2, 2, 4], []):  # as hidden_probs(layer, v, cols)
+            check(rows[..., cols], budgets[cols])
+        for n in np.unique(budgets):  # a scalar budget, as the class layer
+            check(rows, int(n))
+
+
+def test_budget_groups_quantize_once_or_not_at_all(monkeypatch):
+    """No live budget does no arithmetic; one live budget, or a set
+    ``activation_frac_bits`` on activations, is one call with scalar bounds; only
+    mixed live budgets take per-column bounds."""
+    calls = []
+    monkeypatch.setattr(ddbn, "quantize_all",
+                        lambda v, *b: (calls.append(np.ndim(b[0])), quantize_all(v, *b))[1])
+    x = _group_input(np.random.default_rng(3), GROUP_BUDGETS["mixed"])
+    for afb, activation, expect in ((0, False, [None, 0, 0, 1]), (0, True, [None, 0, 0, 1]),
+                                    (64, True, [None, 0, 0, 0])):
+        for group, want in zip(GROUP_BUDGETS.values(), expect):
+            pmap = PrecisionMap([np.array(group)], 8, 8, activation_frac_bits=afb)
+            del calls[:]
+            _quantize_columns(x, pmap.hidden_frac_bits[0], pmap, activation)
+            assert calls == ([] if want is None else [want]), (group, afb, activation)
+
+
 @pytest.mark.parametrize("writeable", [True, False])  # the dataset's images are not
 def test_quantizer_never_writes_into_its_input(writeable):
-    pmap = PrecisionMap([np.array([0, 2, 5, 56])], 8, 8)
-    x = np.random.default_rng(2).uniform(-200, 200, (30, 4))
+    """Every path gives a fresh, writeable array that shares no memory with its
+    input: the candidate evaluator writes into its results."""
+    x = np.random.default_rng(2).uniform(-200, 200, (30, 6))
     x[0] = -0.0
     x.flags.writeable = writeable
     before = x.tobytes()
-    outs = [_quantize_columns(x, pmap.hidden_frac_bits[0], pmap),
-            _quantize_columns(x, pmap.hidden_frac_bits[0], pmap, activation=True),
-            quantize(x, Q8_8), quantize_all(x, 4.0, -1.0, 1.0)]
+    outs = [quantize(x, Q8_8), quantize_all(x, 4.0, -1.0, 1.0)]
+    for budgets in GROUP_BUDGETS.values():
+        pmap = PrecisionMap([np.array(budgets)], 8, 8)
+        for arr in (x, x[4], x[:, 1:4]):
+            outs += [_quantize_columns(arr, budgets[:arr.shape[-1]], pmap, activation)
+                     for activation in (False, True)]
+        outs.append(_quantize_columns(x, budgets[0], pmap))
     assert x.tobytes() == before
+    assert all(out.flags.writeable and out.flags.owndata for out in outs)
     assert not any(np.shares_memory(out, x) for out in outs)
 
 
