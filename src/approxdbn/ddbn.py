@@ -9,9 +9,12 @@ class probabilities over repetitions, mean-field mode propagates
 probabilities deterministically.
 """
 
+import contextlib
+import contextvars
 import json
 import math
 import operator
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field, replace
@@ -25,6 +28,12 @@ MODEL_VERSION = 1
 _CHUNK = 2048  # rows per propagation step: classify, criticality
 _BLOCK = 256  # rows per step of an early-stopping walk
 MOMENTUM = 0.5  # CD velocity decay
+# multiply-adds (b * n_v * n_h / 2) that each half of a CD product must pass for
+# its batch to run in two lanes. A batch waits four times for the worker, 80-130 us
+# each, and a half takes about 65% of the whole product's time, which puts break-even
+# between 1.3 and 2.2 * 10**6; twice that pays for the joins and the cache traffic.
+# Below about 10**6, OpenBLAS's small-matrix path gave a half other bytes.
+_GRAIN = 2 ** 22
 
 
 class ModelFileError(Exception):
@@ -67,6 +76,20 @@ def check_finite(x, name):
         raise ValueError(f"{name} must be finite: found NaN or infinity")
 
 
+def integer_fields(obj, names, problem="must be an integer"):
+    """Make each field ``names`` of ``obj`` a Python int, from an int or a numpy
+    integer; raise ``ValueError`` saying ``problem`` for anything else: a float,
+    even 3.0, or a bool."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            setattr(obj, name, operator.index(value))
+        except TypeError:
+            raise ValueError(f"{name} {value!r}: {problem}") from None
+
+
 @dataclass
 class PrecisionMap:
     """Fractional-bit budgets: one entry per hidden neuron (governs that
@@ -83,13 +106,8 @@ class PrecisionMap:
                                     # Q0.64 activations
 
     def __post_init__(self):
-        for name in ("class_frac_bits", "global_frac_bits", "weight_int_bits",
-                     "activation_frac_bits"):
-            try:  # ints and numpy integers, kept as int; no float, even 3.0
-                setattr(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ValueError(f"{name} {getattr(self, name)!r}: "
-                                 "bit counts must be integers") from None
+        integer_fields(self, ("class_frac_bits", "global_frac_bits", "weight_int_bits",
+                              "activation_frac_bits"), "bit counts must be integers")
         hidden = [np.asarray(b) for b in self.hidden_frac_bits]
         for layer, b in enumerate(hidden):
             if b.size and b.dtype.kind not in "iu":
@@ -349,6 +367,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        integer_fields(self, ("epochs", "batch_size", "seed"))
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
         if self.epochs < 1 or self.batch_size < 1:
@@ -458,6 +477,44 @@ def _set_rbm_params(model, layer, params):
         model.class_weights, model.class_bias = cls
 
 
+def _second_lane():
+    """A one-thread pool for CD's second lane, or, when the process may use only
+    one CPU, a null context: the second lane then runs inline."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if cpus < 2:
+        return contextlib.nullcontext()
+    from concurrent.futures import ThreadPoolExecutor  # not at package import: ~4 ms
+    return ThreadPoolExecutor(1)
+
+
+def _in_lanes(task, n, split, pool):
+    """``task`` over the index range [0, n): one call; or, ``split``, one over its
+    lower half here and one over its upper half on ``pool``'s worker (inline
+    without one), under this thread's numpy error state, with their results
+    joined along the last axis. The worker's exception re-raises here."""
+    if not split:
+        return task(slice(None))
+    low, high = slice(0, n // 2), slice(n // 2, n)
+    if pool is None:
+        parts = [task(low), task(high)]
+    else:
+        future = pool.submit(contextvars.copy_context().run, task, high)
+        try:
+            parts = [task(low)]
+        finally:
+            future.exception()  # waits: the worker reads and writes this thread's arrays
+        parts.append(future.result())
+    return None if parts[0] is None else np.concatenate(parts, axis=-1)
+
+
+def _momentum_step(vel, master, grad):
+    """In place: ``vel`` = MOMENTUM * ``vel`` + ``grad``, then ``master`` += ``vel``."""
+    vel *= MOMENTUM
+    vel += grad
+    master += vel
+
+
 def _cd(model, layer, data, config, rng, targets=None):
     """CD-1 on the RBM under hidden layer ``layer``. With ``targets`` it is
     the discriminative top RBM: a one-hot class block joins the visible
@@ -469,7 +526,16 @@ def _cd(model, layer, data, config, rng, targets=None):
     live neurons' columns train: a pruned neuron's +0 column has
     up-probability 0.5 and moves no parameter that survives quantizing; its
     uniforms are still drawn. The top RBM trains every column, as its class
-    weights read the pruned neurons' states."""
+    weights read the pruned neurons' states.
+
+    A batch whose half products pass ``_GRAIN`` multiply-adds runs in two lanes,
+    this thread and one worker thread: the up-passes by hidden-column halves,
+    the down-pass and W's gradient, velocity and master by visible-row halves.
+    The halves depend on the shapes alone, and with BLAS on one thread, as the
+    CLI runs it, a half has the whole product's bytes: no result depends on the
+    CPU count. The rest (the generator's draws, the other gradients, quantizing
+    and the divergence check) stays on this thread, as do the top RBM, a narrow
+    one and a short batch."""
     top = targets is not None
     pmap = model.precision
     width = model.layer_sizes[layer + 1]
@@ -481,43 +547,48 @@ def _cd(model, layer, data, config, rng, targets=None):
     vel = [np.zeros_like(p) for p in master]
     # built once: no budget changes during the call
     groups = None if pmap is None else _rbm_groups(pmap, layer, live, top)
-    n = len(data)
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            sel = order[start:start + config.batch_size]
-            x0 = data[sel]
-            t0 = targets[sel] if top else None
-            w, hb, vb, *cls = params
+    n, (n_v, n_h) = len(data), master[0].shape
+    lr = config.learning_rate
+    lanes = not top and min(n, config.batch_size) * n_v * n_h > 2 * _GRAIN
+    with _second_lane() if lanes else contextlib.nullcontext() as pool:
+        for _ in range(config.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, config.batch_size):
+                sel = order[start:start + config.batch_size]
+                x0 = data[sel]
+                t0 = targets[sel] if top else None
+                w, hb, vb, *cls = params
+                b = len(x0)
+                split = lanes and b * n_v * n_h > 2 * _GRAIN
 
-            def up(x, t):
-                z = x @ w if t is None else x @ w + t @ cls[0].T
-                return sigmoid(z + hb)
+                def up(x, t):  # hidden probabilities, by columns c
+                    return lambda c: sigmoid(
+                        (x @ w[:, c] if t is None else x @ w[:, c] + t @ cls[0][c].T) + hb[c])
 
-            ph0 = up(x0, t0)
-            u = _columns(rng.random((len(x0), width)), live)
-            h0 = (u < ph0).astype(np.float64)
-            x1 = sigmoid(h0 @ w.T + vb)
-            t1 = _sample_one_hot(softmax(h0 @ cls[0] + cls[1]), rng) if top else None
-            ph1 = up(x1, t1)
-            b = len(x0)
-            lr = config.learning_rate
-            grads = [lr * (x0.T @ ph0 - x1.T @ ph1) / b,
-                     lr * (ph0 - ph1).mean(axis=0),
-                     lr * (x0 - x1).mean(axis=0)]
-            if top:
-                grads += [lr * (ph0.T @ t0 - ph1.T @ t1) / b,
-                          lr * (t0 - t1).mean(axis=0)]
-            for i, g in enumerate(grads):
-                vel[i] = MOMENTUM * vel[i] + g
-                master[i] = master[i] + vel[i]
-            params = _quantized_rbm(pmap, layer, master, live, groups)
-        # after every epoch, so a diverged run stops at its first bad one;
-        # the masters, not the quantized parameters: quantizing clips inf
-        if not all(np.isfinite(p).all() for p in master):
-            raise FloatingPointError(
-                f"CD training of the RBM under hidden layer {layer} diverged: "
-                "a parameter is not finite")
+                def w_step(r):  # W's rows r
+                    g = lr * (x0[:, r].T @ ph0 - x1[:, r].T @ ph1) / b
+                    _momentum_step(vel[0][r], master[0][r], g)
+
+                ph0 = _in_lanes(up(x0, t0), n_h, split, pool)
+                u = _columns(rng.random((b, width)), live)
+                h0 = (u < ph0).astype(np.float64)
+                x1 = _in_lanes(lambda r: sigmoid(h0 @ w[r].T + vb[r]), n_v, split, pool)
+                t1 = _sample_one_hot(softmax(h0 @ cls[0] + cls[1]), rng) if top else None
+                ph1 = _in_lanes(up(x1, t1), n_h, split, pool)
+                _in_lanes(w_step, n_v, split, pool)
+                grads = [lr * (ph0 - ph1).mean(axis=0), lr * (x0 - x1).mean(axis=0)]
+                if top:
+                    grads += [lr * (ph0.T @ t0 - ph1.T @ t1) / b,
+                              lr * (t0 - t1).mean(axis=0)]
+                for v, m, g in zip(vel[1:], master[1:], grads):
+                    _momentum_step(v, m, g)
+                params = _quantized_rbm(pmap, layer, master, live, groups)
+            # after every epoch, so a diverged run stops at its first bad one;
+            # the masters, not the quantized parameters: quantizing clips inf
+            if not all(np.isfinite(p).all() for p in master):
+                raise FloatingPointError(
+                    f"CD training of the RBM under hidden layer {layer} diverged: "
+                    "a parameter is not finite")
     w, hb, *rest = params  # full width, +0 in the pruned columns
     _set_rbm_params(model, layer, [_with_columns(np.zeros((len(w), width)), live, w),
                                    _with_columns(np.zeros(width), live, hb), *rest])

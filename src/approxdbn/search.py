@@ -17,7 +17,7 @@ import numpy as np
 
 from . import criticality as crit
 from .ddbn import (CandidateEvaluator, PrecisionMap, TrainConfig,
-                   evaluate_accuracy, retrain_quantized)
+                   evaluate_accuracy, integer_fields, retrain_quantized)
 
 
 class InfeasibleConstraint(Exception):
@@ -35,6 +35,7 @@ class SearchConfig:
     retrain_epochs: int = 10
 
     def __post_init__(self):
+        integer_fields(self, ("baseline_frac_bits", "retrain_epochs"))
         if not 0 < self.max_relative_accuracy_loss < 1:
             raise ValueError("max_relative_accuracy_loss must be in (0, 1)")
         if not 0 <= self.baseline_frac_bits <= 56:

@@ -1,5 +1,6 @@
 import os
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,25 @@ def mnist_paths():
             f"MNIST IDX files not found under {MNIST_DIR} "
             "(set APPROXDBN_MNIST_DIR)")
     return paths
+
+
+# CD's second lane has a worker thread only when the process may use two CPUs
+TWO_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1) > 1
+
+
+def on_cd_worker(monkeypatch, action):
+    """Make ``ddbn.sigmoid`` call ``action()`` first whenever it runs off the
+    main thread: on the worker of CD's second lane."""
+    from approxdbn import ddbn
+    sigmoid = ddbn.sigmoid
+
+    def patched(x):
+        if threading.current_thread() is not threading.main_thread():
+            action()
+        return sigmoid(x)
+
+    monkeypatch.setattr(ddbn, "sigmoid", patched)
 
 
 def write_idx_pair(images, labels, images_path, labels_path,

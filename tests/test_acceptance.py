@@ -288,15 +288,18 @@ def _report_ablation(name, totals):
 ARTIFACTS = ("train/model.bin", "search/final_model.bin", "search/trace.ndjson")
 
 
-def _run_cli(args, threads, cwd):
+def _run_cli(args, threads, cwd, cpus=None):
+    """The CLI in a child with ``threads`` BLAS threads, limited to the CPUs
+    ``cpus`` by its own affinity (default: this process's)."""
     env = dict(os.environ)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(threads)
     src = os.path.dirname(os.path.dirname(approxdbn.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "approxdbn", *args],
-                          env=env, cwd=cwd, capture_output=True, text=True)
+    limit = None if cpus is None else lambda: os.sched_setaffinity(0, cpus)
+    proc = subprocess.run([sys.executable, "-m", "approxdbn", *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, preexec_fn=limit)
     assert proc.returncode == 0, proc.stderr
     return proc
 
@@ -357,12 +360,20 @@ def test_thread_count_determinism_generated(tmp_path):
     config = {
         "train_images": str(tmp_path / "imgs"),
         "train_labels": str(tmp_path / "lbls"),
-        "hidden_sizes": [50, 20],
+        # layer 0's CD products (100 x 784 x 128 per batch) run in two lanes
+        "hidden_sizes": [128, 20],
         "search": {"retrain_epochs": 1},
     }
-    _report_thread_determinism(
-        "thread-determinism-generated",
-        _differences_across_thread_counts(tmp_path, config))
+    differ = _differences_across_thread_counts(tmp_path, config)
+    if hasattr(os, "sched_setaffinity"):  # train again with one CPU: one lane
+        cfg_path = tmp_path / "config_one_cpu.json"
+        cfg_path.write_text(json.dumps(dict(config, out_dir=str(tmp_path / "one_cpu"))))
+        _run_cli(["train", "--config", str(cfg_path)], 1, tmp_path,
+                 cpus={min(os.sched_getaffinity(0))})
+        one_cpu = (tmp_path / "one_cpu" / "model.bin").read_bytes()
+        if one_cpu != (tmp_path / "threads_1" / "train" / "model.bin").read_bytes():
+            differ.append("train/model.bin on one CPU")
+    _report_thread_determinism("thread-determinism-generated", differ)
 
 
 def _sha256(arrays):

@@ -13,7 +13,7 @@ from approxdbn import cli, ddbn
 from approxdbn.ddbn import TrainConfig
 from approxdbn.search import SearchConfig
 
-from conftest import write_idx_pair
+from conftest import TWO_CPUS, on_cd_worker, write_idx_pair
 
 
 @pytest.fixture
@@ -134,6 +134,21 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "hidden_sizes [8, 6]" in err and "Unable to allocate" in err
+        assert not (tmp / "out" / "model.bin").exists()
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="one CPU: the second lane runs inline")
+    def test_out_of_memory_on_the_cd_worker_exits_2(self, workspace, capsys, monkeypatch):
+        tmp, cfg, config = workspace
+        # 90 rows x 784 x 200: layer 0's CD batch runs in two lanes
+        config.update(hidden_sizes=[200, 6], train={"epochs": 1, "batch_size": 90})
+        write_config(cfg, config)
+
+        def no_memory():
+            raise MemoryError("Unable to allocate 1.0 TiB for an array")
+
+        on_cd_worker(monkeypatch, no_memory)
+        assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert "Unable to allocate 1.0 TiB" in capsys.readouterr().err
         assert not (tmp / "out" / "model.bin").exists()
 
     @pytest.mark.parametrize("rate", [float("nan"), float("inf")])

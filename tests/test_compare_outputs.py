@@ -3,7 +3,8 @@ a tree compared with itself shows no difference, and a tree whose output
 changes by one byte is caught in every run that prints it (``search_full``
 only on a workload with three or more hidden layers), for one seed or
 several in one call; with no flags it runs every workload with the seeds
-1, 7 and 32."""
+1, 7 and 32. A tree whose ``train`` model depends on the CPU count is caught
+by ``train_one_cpu``."""
 
 import dataclasses
 import importlib.util
@@ -12,6 +13,8 @@ import types
 from pathlib import Path
 
 import pytest
+
+from conftest import TWO_CPUS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,15 +40,27 @@ def test_tree_matches_itself(tool, tmp_path):
     assert tool.compare(ROOT, ROOT, _tiny(tool), 1, tmp_path) == []
 
 
-def _changed_tree(path, old='print(f"wrote {len(curves)}', new='print(f"Wrote {len(curves)}'):
-    """A copy of the sources whose CLI prints ``new`` where it printed ``old``."""
+def _changed_tree(path, old='print(f"wrote {len(curves)}', new='print(f"Wrote {len(curves)}',
+                  module="cli.py"):
+    """A copy of the sources whose ``module`` (the CLI) has ``new`` where it had ``old``."""
     shutil.copytree(ROOT / "src", path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    cli = path / "src" / "approxdbn" / "cli.py"
-    text = cli.read_text()
+    source = path / "src" / "approxdbn" / module
+    text = source.read_text()
     assert old in text
-    cli.write_text(text.replace(old, new))
+    source.write_text(text.replace(old, new))
     return path
+
+
+@pytest.mark.skipif(not TWO_CPUS, reason="one CPU: train_one_cpu runs as train does")
+def test_model_that_depends_on_the_cpu_count_is_caught(tool, tmp_path):
+    # a tree whose train writes the CPU count into model.bin's metadata
+    changed = _changed_tree(tmp_path / "changed", 'model.metadata["train_seed"] = config.seed',
+                            'model.metadata["train_seed"] = len(__import__("os")'
+                            '.sched_getaffinity(0))', "ddbn.py")
+    diffs = tool.compare(ROOT, changed, _tiny(tool), 1, tmp_path / "work")
+    assert f"differs: train_one_cpu/model.bin from train/model.bin with {changed}" in diffs
+    assert not any(str(ROOT) in d for d in diffs)
 
 
 def test_changed_output_is_caught(tool, tmp_path):

@@ -1,13 +1,15 @@
 import copy
 import itertools
 import math
+import re
 import struct
+import threading
 import zlib
 
 import numpy as np
 import pytest
 
-from approxdbn import ddbn
+from approxdbn import cli, ddbn
 from approxdbn.criticality import criticality_scores
 from approxdbn.ddbn import (
     DdbnModel,
@@ -22,6 +24,8 @@ from approxdbn.ddbn import (
     softmax,
     train_ddbn,
 )
+
+from conftest import TWO_CPUS, on_cd_worker
 
 
 def zero_model(layer_sizes):
@@ -199,6 +203,20 @@ class TestTraining:
                 TrainConfig(learning_rate=rate)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", 2.0), ("batch_size", 2.5), ("seed", 1.5), ("epochs", True),
+        ("seed", np.float64(1)),
+    ])
+    def test_non_integer_counts_rejected(self, field, value):
+        """At construction, not as a ``TypeError`` from ``range`` mid-training,
+        and ``epochs=True`` does not train one epoch."""
+        with pytest.raises(ValueError, match=re.escape(f"{field} {value!r}: must be an integer")):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integer_counts_kept_as_int(self):
+        cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(5), seed=np.uint8(1))
+        assert [type(v) for v in (cfg.epochs, cfg.batch_size, cfg.seed)] == [int] * 3
 
     def test_diverged_training_raises(self, tiny_data):
         X, T, _ = tiny_data
@@ -408,6 +426,25 @@ def _full_width_cd(model, layer, data, config, rng, targets=None):
                 ddbn._requantize_class(model)
 
 
+@pytest.fixture
+def one_blas_thread():
+    """BLAS on one thread, as the CLI runs it: with more, OpenBLAS splits a
+    half product's work otherwise than the whole product's, and its bytes differ."""
+    cli._pin_blas_to_one_thread()
+
+
+def _record_lanes(monkeypatch):
+    """A list that gets (split, pool) of every ``ddbn._in_lanes`` call from now on."""
+    calls, in_lanes = [], ddbn._in_lanes
+
+    def recording(task, n, split, pool):
+        calls.append((split, pool))
+        return in_lanes(task, n, split, pool)
+
+    monkeypatch.setattr(ddbn, "_in_lanes", recording)
+    return calls
+
+
 class TestLiveColumnCd:
     """``_cd`` trains only the live columns of a lower RBM under a map, and
     every column of the top RBM or of a model without one: the same bytes and
@@ -451,6 +488,41 @@ class TestLiveColumnCd:
         self._assert_matches(model.apply_precision(pmap), 0, X,
                              TrainConfig(epochs=1, batch_size=100))
 
+    @pytest.mark.parametrize("hidden,n,batch,pruned,lanes", [
+        # no map: every batch's half products pass _GRAIN
+        (200, 300, 100, 0, [True] * 3),
+        # mixed budgets, 20 pruned: 80 live columns of 200-row batches pass it
+        (100, 600, 200, 20, [True] * 3),
+        # the short last batch, 50 rows, falls under it: one lane
+        (200, 250, 100, 0, [True, True, False]),
+    ])
+    def test_lanes_match_every_column_cd(self, monkeypatch, one_blas_thread, hidden, n,
+                                         batch, pruned, lanes):
+        rng = np.random.default_rng(0)
+        X = (rng.random((n, 784)) > 0.7).astype(float)
+        model = DdbnModel.random_init([784, hidden, 50, 10], seed=1, scale=0.05)
+        if pruned:
+            pmap = PrecisionMap.uniform([hidden, 50], 6)
+            rest = hidden - pruned
+            pmap.hidden_frac_bits[0] = rng.permutation(
+                np.repeat([0, 4, 6, 9], [pruned, rest // 3, rest // 3, rest - 2 * (rest // 3)]))
+            model = model.apply_precision(pmap)
+        splits = _record_lanes(monkeypatch)
+        self._assert_matches(model, 0, X, TrainConfig(epochs=1, batch_size=batch))
+        # four hand-offs a batch: both up-passes, the down-pass and W's step
+        assert [split for split, _ in splits] == list(np.repeat(lanes, 4))
+
+    def test_one_cpu_runs_the_second_lane_inline(self, monkeypatch, one_blas_thread):
+        rng = np.random.default_rng(0)
+        X = (rng.random((200, 784)) > 0.7).astype(float)
+        model = DdbnModel.random_init([784, 200, 50, 10], seed=1, scale=0.05)
+        cfg = TrainConfig(epochs=1, batch_size=100)
+        self._assert_matches(model, 0, X, cfg)  # with the worker, given two CPUs
+        monkeypatch.setattr(ddbn.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        splits = _record_lanes(monkeypatch)
+        self._assert_matches(model, 0, X, cfg)
+        assert splits and all(split and pool is None for split, pool in splits)
+
     @staticmethod
     def _assert_matches(model, layer, data, cfg, targets=None):
         want, got = copy.deepcopy(model), copy.deepcopy(model)
@@ -460,6 +532,47 @@ class TestLiveColumnCd:
         assert _parameter_bytes(got) == _parameter_bytes(want)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
         assert _parameter_bytes(got) != _parameter_bytes(model)
+
+
+@pytest.mark.skipif(not TWO_CPUS, reason="one CPU: the second lane runs inline")
+class TestCdWorker:
+    """The worker of CD's second lane runs under the caller's numpy error state,
+    its exception raises in the caller, and it ends with ``_cd``."""
+
+    @staticmethod
+    def _wide_cd():
+        rng = np.random.default_rng(0)
+        X = (rng.random((100, 784)) > 0.7).astype(float)
+        model = DdbnModel.random_init([784, 200, 50, 10], seed=1, scale=0.05)
+        ddbn._cd(model, 0, X, TrainConfig(epochs=1, batch_size=100),
+                 np.random.default_rng(9))
+
+    def test_worker_uses_the_callers_error_state(self, monkeypatch):
+        seen = []
+        on_cd_worker(monkeypatch, lambda: seen.append(np.geterr()))
+        with np.errstate(over="raise", invalid="ignore"):
+            want = np.geterr()
+            self._wide_cd()
+        assert seen and all(s == want for s in seen)
+        assert want != np.geterr()
+
+    def test_worker_exception_raises_in_the_caller(self, monkeypatch):
+        threads = threading.enumerate()
+
+        def fail():
+            raise MemoryError("out of memory on the worker")
+
+        on_cd_worker(monkeypatch, fail)
+        with pytest.raises(MemoryError, match="on the worker"):
+            self._wide_cd()
+        assert threading.enumerate() == threads
+
+    def test_no_thread_outlives_cd(self, monkeypatch):
+        threads, workers = threading.enumerate(), set()
+        on_cd_worker(monkeypatch, lambda: workers.add(threading.current_thread()))
+        self._wide_cd()
+        assert len(workers) == 1 and not workers.pop().is_alive()
+        assert threading.enumerate() == threads
 
 
 class TestEvaluate:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,13 @@ class TestSearchConfig:
             with pytest.raises(ValueError):
                 SearchConfig(**bad)
         SearchConfig(baseline_frac_bits=56)
+
+    @pytest.mark.parametrize("field,value", [
+        ("retrain_epochs", 2.0), ("baseline_frac_bits", 8.0), ("retrain_epochs", True),
+    ])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(f"{field} {value!r}: must be an integer")):
+            SearchConfig(**{field: value})
 
 
 class TestLevel2Schedule:
