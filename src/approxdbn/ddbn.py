@@ -682,9 +682,10 @@ class CandidateEvaluator:
     every hidden layer and, above layer 0, its pre-activations ``z[l]`` are kept.
     A cut keeps the sums exact, so a candidate then recomputes its lowest changed
     layer's changed columns, adds their change to the next layer's ``z`` and walks
-    the layers above in full. Under a threshold, that walk takes the rows hardest
-    first, ``_BLOCK`` at a time, and stops once it fails. With nothing kept, a
-    candidate is walked from the images by ``classify``."""
+    the layers above in full. That walk takes the rows hardest first, ``_BLOCK`` at
+    a time, and under a threshold stops once it fails. ``prune`` commits a stack of
+    prunes in one pass. With nothing kept, a candidate is walked from the images by
+    ``classify``."""
 
     def __init__(self, model, images, labels):
         if model.precision is None:
@@ -762,17 +763,15 @@ class CandidateEvaluator:
         below it. With no threshold it always commits."""
         candidate, changed = self._candidate(pmap)
         n, errors = len(self.labels), 0
+        threshold = -math.inf if threshold is None else threshold
         if not self.a:
             acc = int((candidate.classify(self.images)[0] == self.labels).sum()) / n
-            if threshold is None or acc >= threshold:
+            if acc >= threshold:
                 self._keep(candidate)
             return acc
-        if threshold is None:  # every row, in file order
-            blocks = [slice(s, s + _CHUNK) for s in range(0, n, _CHUNK)]
-            threshold = -math.inf
-        else:
-            order = self._hardest_first()
-            blocks = [order[s:s + _BLOCK] for s in range(0, n, _BLOCK)]
+        # a walk of every row counts the same errors in any order
+        order = self._hardest_first()
+        blocks = [order[s:s + _BLOCK] for s in range(0, n, _BLOCK)]
         top = len(self.a)
         f = next((layer for layer, cols in enumerate(changed) if len(cols)), top)
         widths = [len(changed[f])] + candidate.layer_sizes[f + 2:top + 1] if f < top else []
@@ -793,6 +792,73 @@ class CandidateEvaluator:
             for layer, (z, a) in enumerate(new[1:], start=f + 1):
                 self.z[layer], self.a[layer] = z, a
         return (n - errors) / n
+
+    def prune(self, neurons):
+        """Prune ``neurons``, (layer, index) pairs, one after another and commit them
+        all; returns the accuracy after each prefix, each equal to a ``cut`` of its map.
+        A neuron out of range or named twice raises ``ValueError``; nothing commits.
+
+        With the cache, one pass: a pruned column requantizes to zeros, so its z and a
+        are +0.0 and each point is the accepted model with its prunes masked. Above the
+        lowest pruned layer f, layer f + 1 adds up the pruned columns' rank-1 terms
+        (each partial sum exact, over a subset of its fan-in), each layer above runs
+        once per distinct input, and the class layer once on every point's rows
+        stacked, which the caller keeps within ``_CHUNK``. Without the cache, each
+        point is a ``cut``."""
+        sizes = self.model.hidden_sizes
+        pairs = [tuple(map(operator.index, p)) for p in neurons]
+        for layer, idx in pairs:
+            if not (0 <= layer < len(sizes) and 0 <= idx < sizes[layer]):
+                raise ValueError(f"neuron {(layer, idx)}: no such hidden neuron")
+        if len(set(pairs)) < len(pairs):
+            raise ValueError("a neuron is named twice")
+        pmap, cached = self.model.precision.copy(), bool(self.a)
+        accuracies = []
+        for layer, idx in pairs:
+            pmap.hidden_frac_bits[layer][idx] = 0
+            if not cached:  # each point walked from the images
+                accuracies.append(self.cut(pmap))
+        if not cached or not pairs:
+            return accuracies
+        candidate, _ = self._candidate(pmap)
+        model, n, top = self.model, len(self.labels), len(self.a)
+        f = min(layer for layer, _ in pairs)
+        outs, kept = [None] * len(pairs), []  # per point, the layer's activations
+        for layer in range(f, top):
+            # the points pruned below this layer: each starts a new input state
+            starts, new = [i for i, (at, _) in enumerate(pairs) if at < layer], {}
+            if layer == f + 1:
+                zs, z = [], self.z[layer]
+                for i in starts:
+                    col = pairs[i][1]
+                    z = z - self.a[f][:, col, None] * model.weights[layer][col]
+                    zs.append(z)
+            elif starts:
+                zs = np.split(model.pre_activation(
+                    layer, np.concatenate([outs[i] for i in starts])), len(starts))
+            if starts:
+                states = np.split(model.activation(layer, np.concatenate(zs)), len(zs))
+                new = dict(zip(starts, zip(zs, states)))
+            z, a, cols = self.z[layer], self.a[layer], []
+            for i, (at, idx) in enumerate(pairs):
+                if i in new:
+                    z, a = new[i]
+                if at == layer:
+                    cols.append(idx)
+                if cols and (i in new or at == layer):
+                    a = a.copy()
+                    a[:, cols] = 0.0
+                outs[i] = a
+            kept.append((z, a, cols))
+        pred = candidate.class_probs(np.concatenate(outs)).argmax(axis=1)
+        errors = (pred.reshape(len(pairs), n) != self.labels).sum(axis=1)
+        self.model, self._order = candidate, None
+        for layer, (z, a, cols) in enumerate(kept, start=f):
+            if layer:  # whole arrays, no views into the stacked ones
+                z = z.copy()
+                z[:, cols] = 0.0
+            self.z[layer], self.a[layer] = z, a.copy()
+        return [(n - int(e)) / n for e in errors]
 
 
 # ---- serialization -----------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import criticality as crit
-from .ddbn import (CandidateEvaluator, PrecisionMap, TrainConfig,
+from .ddbn import (_CHUNK, CandidateEvaluator, PrecisionMap, TrainConfig,
                    evaluate_accuracy, integer_fields, retrain_quantized)
 
 
@@ -260,7 +260,9 @@ def approximation_curve(model, config, train_images, train_one_hot,
                         order_seed=0):
     """Accuracy after pruning the first c neurons (c = 0..N) of the given
     order, on a uniform baseline-format model. Point c's model is built
-    from point c - 1's. ``order`` is "criticality" or "random"."""
+    from point c - 1's, in stacks of consecutive points that each take one
+    ``CandidateEvaluator.prune`` pass: as many as fit ``_CHUNK`` stacked
+    evaluation rows, at least one. ``order`` is "criticality" or "random"."""
     if order not in ("criticality", "random"):
         raise ValueError(f"unknown order {order!r}")
     pmap = PrecisionMap.uniform(model.hidden_sizes, config.baseline_frac_bits)
@@ -270,7 +272,7 @@ def approximation_curve(model, config, train_images, train_one_hot,
     current = model.apply_precision(pmap)
     accuracies = [evaluate_accuracy(current, eval_images, eval_labels)]
     evaluator = CandidateEvaluator(current, eval_images, eval_labels)
-    for layer, idx in ordering:
-        pmap.hidden_frac_bits[layer][idx] = 0
-        accuracies.append(evaluator.cut(pmap))
+    stack = max(1, _CHUNK // len(eval_images))  # points per pass: _CHUNK rows
+    for start in range(0, len(ordering), stack):
+        accuracies += evaluator.prune(ordering[start:start + stack])
     return np.array(accuracies)

@@ -25,6 +25,16 @@ def mnist_paths():
     return paths
 
 
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread():
+    """BLAS on one thread for every test, as ``cli.main`` runs it. It pins BLAS
+    process-wide, so without this a test run alone would get other threads than
+    after a CLI test; and with more than one, OpenBLAS splits a half product's work
+    otherwise than the whole product's, so CD's lanes would give other bytes."""
+    from approxdbn import cli
+    cli._pin_blas_to_one_thread()
+
+
 # CD's second lane has a worker thread only when the process may use two CPUs
 TWO_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1) > 1

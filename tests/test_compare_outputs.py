@@ -66,8 +66,10 @@ def test_model_that_depends_on_the_cpu_count_is_caught(tool, tmp_path):
 def test_changed_output_is_caught(tool, tmp_path):
     changed = _changed_tree(tmp_path / "changed")
     diffs = tool.compare(ROOT, changed, _tiny(tool), 1, tmp_path / "work")
-    # curve_wide runs the same command on other budgets, so it prints the line too
+    # curve_test and curve_wide run the same command on other rows and budgets, so
+    # they print the line too
     assert [d.split(" (")[0] for d in diffs] == ["differs: stdout:curve",
+                                                 "differs: stdout:curve_test",
                                                  "differs: stdout:curve_wide"]
 
 
@@ -99,4 +101,4 @@ def test_several_seeds(tool, tmp_path, monkeypatch, capsys):
     assert tool.main([str(ROOT), str(_changed_tree(tmp_path / "changed")), *argv]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if " seed " in line] == [
-        "retrain seed 1: 2 problems", "retrain seed 7: 2 problems"]
+        "retrain seed 1: 3 problems", "retrain seed 7: 3 problems"]

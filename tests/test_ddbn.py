@@ -9,7 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
-from approxdbn import cli, ddbn
+from approxdbn import ddbn
 from approxdbn.criticality import criticality_scores
 from approxdbn.ddbn import (
     DdbnModel,
@@ -426,13 +426,6 @@ def _full_width_cd(model, layer, data, config, rng, targets=None):
                 ddbn._requantize_class(model)
 
 
-@pytest.fixture
-def one_blas_thread():
-    """BLAS on one thread, as the CLI runs it: with more, OpenBLAS splits a
-    half product's work otherwise than the whole product's, and its bytes differ."""
-    cli._pin_blas_to_one_thread()
-
-
 def _record_lanes(monkeypatch):
     """A list that gets (split, pool) of every ``ddbn._in_lanes`` call from now on."""
     calls, in_lanes = [], ddbn._in_lanes
@@ -496,7 +489,7 @@ class TestLiveColumnCd:
         # the short last batch, 50 rows, falls under it: one lane
         (200, 250, 100, 0, [True, True, False]),
     ])
-    def test_lanes_match_every_column_cd(self, monkeypatch, one_blas_thread, hidden, n,
+    def test_lanes_match_every_column_cd(self, monkeypatch, hidden, n,
                                          batch, pruned, lanes):
         rng = np.random.default_rng(0)
         X = (rng.random((n, 784)) > 0.7).astype(float)
@@ -512,7 +505,7 @@ class TestLiveColumnCd:
         # four hand-offs a batch: both up-passes, the down-pass and W's step
         assert [split for split, _ in splits] == list(np.repeat(lanes, 4))
 
-    def test_one_cpu_runs_the_second_lane_inline(self, monkeypatch, one_blas_thread):
+    def test_one_cpu_runs_the_second_lane_inline(self, monkeypatch):
         rng = np.random.default_rng(0)
         X = (rng.random((200, 784)) > 0.7).astype(float)
         model = DdbnModel.random_init([784, 200, 50, 10], seed=1, scale=0.05)

@@ -273,6 +273,109 @@ def test_curve_matches_oracle_from_original_model(order, seed):
     assert curve.tolist() == expected
 
 
+def _curve_by_cuts(model, cfg, X, T, eval_images, eval_labels, order, seed):
+    """``approximation_curve`` as one ``cut`` per point, the reference of the
+    stacked passes."""
+    pmap = PrecisionMap.uniform(model.hidden_sizes, cfg.baseline_frac_bits)
+    ordering = search._neuron_order(model, order == "criticality", X, T,
+                                    np.random.default_rng(seed))
+    current = model.apply_precision(pmap)
+    accuracies = [evaluate_accuracy(current, eval_images, eval_labels)]
+    evaluator = CandidateEvaluator(current, eval_images, eval_labels)
+    for layer, idx in ordering:
+        pmap.hidden_frac_bits[layer][idx] = 0
+        accuracies.append(evaluator.cut(pmap))
+    return np.array(accuracies)
+
+
+@pytest.mark.parametrize("order", ["criticality", "random"])
+@pytest.mark.parametrize("chunk,frac_bits,stacks", [
+    (80, 3, [1] * 18),                   # 80 rows a stack: stacks of one
+    (80 * 4 + 79, 3, [4] * 4 + [2]),     # several, the last one partial
+    (2048, 3, [18]),                     # every point in one stack
+    (80 * 5, 24, [5] * 3 + [3]),         # inexact: no cache, a cut per point
+])
+def test_stacked_curve_matches_per_point_cuts(monkeypatch, order, chunk, frac_bits,
+                                             stacks):
+    """``approximation_curve`` takes ``_CHUNK // rows`` points a pass, and equals
+    the per-point ``cut`` loop byte for byte, on three hidden layers whose stacks
+    prune neurons of several layers; after every pass the evaluator's cache equals
+    a fresh one of the committed model. At 24 bits layer 1's sums are not exact
+    (8 + 24 + 24 + 3 bits), so the first passes have no cache."""
+    rng = np.random.default_rng(2)
+    hidden = [7, 6, 5]
+    model = _random_model([16, *hidden, 10], rng)
+    X = (rng.random((80, 16)) > 0.5).astype(float)
+    y = rng.integers(0, 10, len(X))
+    T = np.eye(10)[y]
+    cfg = SearchConfig(baseline_frac_bits=frac_bits)
+    expected = _curve_by_cuts(model, cfg, X, T, X, y, order, seed=1)
+    seen, prune = [], CandidateEvaluator.prune
+
+    def checked(evaluator, neurons):
+        seen.append((len(neurons), len({layer for layer, _ in neurons}), bool(evaluator.a)))
+        out = prune(evaluator, neurons)
+        _assert_cache_fresh(evaluator, X)
+        return out
+
+    monkeypatch.setattr(CandidateEvaluator, "prune", checked)
+    monkeypatch.setattr(search, "_CHUNK", chunk)
+    curve = approximation_curve(model, cfg, X, T, X, y, order=order, order_seed=1)
+    assert curve.tobytes() == expected.tobytes()
+    assert [k for k, _, _ in seen] == stacks
+    assert (max(layers for _, layers, _ in seen) > 1) == (max(stacks) > 1)
+    assert seen[0][2] == (frac_bits == 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16),
+       hidden=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       frac_bits=st.sampled_from([1, 3, 8, 24]),
+       stacks=st.lists(st.integers(0, 6), min_size=1, max_size=5))
+def test_prune_matches_per_point_cuts(seed, hidden, frac_bits, stacks):
+    """From a mixed-budget map with some neurons pruned already, each ``prune`` of a
+    random stack, which may name those neurons again, returns the per-point
+    ``cut`` accuracies of a twin evaluator, and commits the same model bytes and a
+    cache equal to a fresh one."""
+    rng = np.random.default_rng(seed)
+    model = _random_model([16, *hidden, 10], rng)
+    X = (rng.random((int(rng.integers(1, 50)), 16)) > 0.5).astype(float)
+    y = rng.integers(0, 10, len(X))
+    pmap = _cut(PrecisionMap.uniform(hidden, frac_bits), rng, 4, 2)
+    stacked, reference = (CandidateEvaluator(model.apply_precision(pmap), X, y)
+                          for _ in range(2))
+    pooled = [(layer, idx) for layer, n in enumerate(hidden) for idx in range(n)]
+    for k in stacks:
+        neurons = [pooled[i] for i in rng.choice(len(pooled), min(k, len(pooled)),
+                                                 replace=False)]
+        expected = []
+        for layer, idx in neurons:
+            pmap = pmap.copy()
+            pmap.hidden_frac_bits[layer][idx] = 0
+            expected.append(reference.cut(pmap))
+        assert stacked.prune(neurons) == expected
+        assert _state(stacked)[1:] == _state(reference)[1:]
+        _assert_cache_fresh(stacked, X)
+
+
+@pytest.mark.parametrize("neurons,message", [
+    ([(0, 1), (1, 6)], "no such hidden neuron"),
+    ([(2, 0)], "no such hidden neuron"),
+    ([(0, -1)], "no such hidden neuron"),
+    ([(1, 0), (0, 2), (1, 0)], "named twice"),
+])
+def test_prune_rejects_bad_neurons(neurons, message):
+    """A neuron out of range or named twice raises ``ValueError`` before anything
+    is committed, as a map that is not a cut does."""
+    accepted, _, X, y = _hopeless_case()
+    evaluator = CandidateEvaluator(accepted, X, y)
+    before = _state(evaluator)
+    with pytest.raises(ValueError, match=message):
+        evaluator.prune(neurons)
+    after = _state(evaluator)
+    assert after[0] is before[0] and after[1:] == before[1:]
+
+
 def _rows_at_layer0(monkeypatch):
     """A list that grows by the row count of each ``hidden_probs(0, ...)`` call."""
     rows, hidden_probs = [], DdbnModel.hidden_probs
@@ -613,7 +716,8 @@ def test_top_layer_candidate_recomputes_only_its_columns(monkeypatch):
     pmap = accepted.precision.copy()
     pmap.hidden_frac_bits[-1][[1, 4]] -= 2
     expected = evaluate_accuracy(accepted.apply_precision(pmap), X, y)
-    # file order; hardest first, every block: one evaluator each, as each commits
+    # no threshold and a threshold of 0 walk every block, hardest first; one
+    # evaluator each, as each commits
     runs = [(CandidateEvaluator(accepted, X, y), t) for t in (None, 0.0)]
     calls = []
 

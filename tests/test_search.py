@@ -313,6 +313,12 @@ class TestCurve:
         with pytest.raises(ValueError, match="unknown order 'critcality'"):
             approximation_curve(model, SearchConfig(), X, T, X, y, order="critcality")
 
+    def test_empty_evaluation_set_rejected(self, tiny_setup):
+        """No rows: a ``ValueError``, not a division by zero in the stack size."""
+        model, X, T, y, _ = tiny_setup
+        with pytest.raises(ValueError, match="evaluation set is empty"):
+            approximation_curve(model, SearchConfig(), X, T, X[:0], y[:0])
+
 
 class TestArtifacts:
     def test_monotone_guard(self):

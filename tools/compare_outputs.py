@@ -10,7 +10,9 @@ seeds 1, 7 and 32. For each workload and seed it generates the inputs of
 each tree's ``src/`` (BLAS pinned to one thread): the workload's
 ``train``, ``search``, ``curve`` and ``eval``, plus ``search`` with the
 test images set, ``curve_wide`` (``curve`` with 24-bit budgets, where the
-candidate evaluator keeps no layer), ``eval`` in the other inference mode
+candidate evaluator keeps no layer), ``curve_test`` (``curve`` on the test
+images: 3,000 rows on ``retrain``, so stacks of one curve point, and 1,000 on
+``sweep``, stacks of two), ``eval`` in the other inference mode
 and ``train_one_cpu``: ``train`` again in a child limited to one CPU by its
 own affinity, where CD's second lane runs inline. On a workload with three
 or more hidden layers it adds ``search_full`` (variant ``full``, 2 retrain
@@ -81,6 +83,10 @@ def commands(inputs, out):
     wide_search = dict(inputs.workload.search, baseline_frac_bits=WIDE_FRAC_BITS)
     wide_config = _config(inputs, inputs.curve_config, "curve_wide_config.json",
                           search=wide_search)
+    with open(test_config) as f:
+        test_curve = dict(json.load(f)["curve"], eval_split="test")
+    curve_test_config = _config(inputs, test_config, "curve_test_config.json",
+                                curve=test_curve)
     train_argv, eval_argv = dict(cmds)["train"], dict(cmds)["eval"]
     at = train_argv.index("--out") + 1
     other = "mean_field" if inputs.workload.eval_mode == "stochastic" else "stochastic"
@@ -91,6 +97,8 @@ def commands(inputs, out):
                          "--out", os.path.join(out, "search_test")]),
         ("curve_wide", ["curve", "--config", wide_config, "--model", model,
                         "--out", os.path.join(out, "curve_wide")]),
+        ("curve_test", ["curve", "--config", curve_test_config, "--model", model,
+                        "--out", os.path.join(out, "curve_test")]),
         ("eval_other", eval_argv[:mode] + [other] + eval_argv[mode + 1:]),
         (ONE_CPU_TRAIN, train_argv[:at] + [os.path.join(out, ONE_CPU_TRAIN)]
          + train_argv[at + 1:]),
