@@ -402,16 +402,6 @@ def _rbm_groups(pmap, layer, cols, top):
     return groups + [_budget_groups(pmap.class_frac_bits, pmap)] * 2 if top else groups
 
 
-def _quantized_rbm(pmap, layer, params, cols, groups=None):
-    """``params``, the RBM's arrays as ``_rbm_groups`` lists them, quantized into new
-    arrays; without a map, ``params`` themselves. ``groups``, their ``_rbm_groups``,
-    lets a caller that quantizes under one map many times build them once."""
-    if pmap is None:
-        return params
-    groups = groups or _rbm_groups(pmap, layer, cols, len(params) > 3)
-    return [_quantize_groups(p, *g) for p, g in zip(params, groups)]
-
-
 def _requantize_layer(model, layer, cols=slice(None)):
     """Requantize the RBM under hidden layer ``layer`` into new arrays: the
     weight and hidden-bias columns of its neurons ``cols`` (default all) and its
@@ -419,8 +409,10 @@ def _requantize_layer(model, layer, cols=slice(None)):
     if model.precision is None:
         return
     w, hb, vb = _rbm_params(model, layer, False)
-    qw, qhb, model.visible_biases[layer] = _quantized_rbm(
-        model.precision, layer, [_columns(w, cols), _columns(hb, cols), vb], cols)
+    qw, qhb, model.visible_biases[layer] = (
+        _quantize_groups(p, *g) for p, g in zip(
+            [_columns(w, cols), _columns(hb, cols), vb],
+            _rbm_groups(model.precision, layer, cols, False)))
     if len(qhb) == len(hb):  # every column
         model.weights[layer], model.hidden_biases[layer] = qw, qhb
     elif len(qhb):
@@ -477,35 +469,20 @@ def _set_rbm_params(model, layer, params):
         model.class_weights, model.class_bias = cls
 
 
-def _second_lane():
-    """A one-thread pool for CD's second lane, or, when the process may use only
-    one CPU, a null context: the second lane then runs inline."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    if cpus < 2:
-        return contextlib.nullcontext()
-    from concurrent.futures import ThreadPoolExecutor  # not at package import: ~4 ms
-    return ThreadPoolExecutor(1)
-
-
-def _in_lanes(task, n, split, pool):
-    """``task`` over the index range [0, n): one call; or, ``split``, one over its
-    lower half here and one over its upper half on ``pool``'s worker (inline
-    without one), under this thread's numpy error state, with their results
-    joined along the last axis. The worker's exception re-raises here."""
-    if not split:
-        return task(slice(None))
-    low, high = slice(0, n // 2), slice(n // 2, n)
+def _in_lanes(task, n, pool):
+    """``task`` over the index range [0, n): one call without ``pool``; with it, one
+    over the lower half here and one over the upper half on ``pool``'s worker, under
+    this thread's numpy error state, with their results joined along the last axis.
+    The worker's exception re-raises here."""
     if pool is None:
-        parts = [task(low), task(high)]
-    else:
-        future = pool.submit(contextvars.copy_context().run, task, high)
-        try:
-            parts = [task(low)]
-        finally:
-            future.exception()  # waits: the worker reads and writes this thread's arrays
-        parts.append(future.result())
-    return None if parts[0] is None else np.concatenate(parts, axis=-1)
+        return task(slice(None))
+    future = pool.submit(contextvars.copy_context().run, task, slice(n // 2, n))
+    try:
+        low = task(slice(0, n // 2))
+    finally:
+        future.exception()  # waits: the worker reads and writes this thread's arrays
+    high = future.result()
+    return None if low is None else np.concatenate([low, high], axis=-1)
 
 
 def _momentum_step(vel, master, grad):
@@ -534,8 +511,9 @@ def _cd(model, layer, data, config, rng, targets=None):
     The halves depend on the shapes alone, and with BLAS on one thread, as the
     CLI runs it, a half has the whole product's bytes: no result depends on the
     CPU count. The rest (the generator's draws, the other gradients, quantizing
-    and the divergence check) stays on this thread, as do the top RBM, a narrow
-    one and a short batch."""
+    and the divergence check) stays on this thread. The top RBM, a narrow one, a
+    short batch and every batch of a process that may use only one CPU run the
+    step whole, over one full range."""
     top = targets is not None
     pmap = model.precision
     width = model.layer_sizes[layer + 1]
@@ -549,8 +527,12 @@ def _cd(model, layer, data, config, rng, targets=None):
     groups = None if pmap is None else _rbm_groups(pmap, layer, live, top)
     n, (n_v, n_h) = len(data), master[0].shape
     lr = config.learning_rate
-    lanes = not top and min(n, config.batch_size) * n_v * n_h > 2 * _GRAIN
-    with _second_lane() if lanes else contextlib.nullcontext() as pool:
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    lanes = cpus > 1 and not top and min(n, config.batch_size) * n_v * n_h > 2 * _GRAIN
+    if lanes:
+        from concurrent.futures import ThreadPoolExecutor  # not at package import: ~4 ms
+    with ThreadPoolExecutor(1) if lanes else contextlib.nullcontext() as pool:
         for _ in range(config.epochs):
             order = rng.permutation(n)
             for start in range(0, n, config.batch_size):
@@ -559,7 +541,7 @@ def _cd(model, layer, data, config, rng, targets=None):
                 t0 = targets[sel] if top else None
                 w, hb, vb, *cls = params
                 b = len(x0)
-                split = lanes and b * n_v * n_h > 2 * _GRAIN
+                lane = pool if b * n_v * n_h > 2 * _GRAIN else None
 
                 def up(x, t):  # hidden probabilities, by columns c
                     return lambda c: sigmoid(
@@ -569,20 +551,21 @@ def _cd(model, layer, data, config, rng, targets=None):
                     g = lr * (x0[:, r].T @ ph0 - x1[:, r].T @ ph1) / b
                     _momentum_step(vel[0][r], master[0][r], g)
 
-                ph0 = _in_lanes(up(x0, t0), n_h, split, pool)
+                ph0 = _in_lanes(up(x0, t0), n_h, lane)
                 u = _columns(rng.random((b, width)), live)
                 h0 = (u < ph0).astype(np.float64)
-                x1 = _in_lanes(lambda r: sigmoid(h0 @ w[r].T + vb[r]), n_v, split, pool)
+                x1 = _in_lanes(lambda r: sigmoid(h0 @ w[r].T + vb[r]), n_v, lane)
                 t1 = _sample_one_hot(softmax(h0 @ cls[0] + cls[1]), rng) if top else None
-                ph1 = _in_lanes(up(x1, t1), n_h, split, pool)
-                _in_lanes(w_step, n_v, split, pool)
+                ph1 = _in_lanes(up(x1, t1), n_h, lane)
+                _in_lanes(w_step, n_v, lane)
                 grads = [lr * (ph0 - ph1).mean(axis=0), lr * (x0 - x1).mean(axis=0)]
                 if top:
                     grads += [lr * (ph0.T @ t0 - ph1.T @ t1) / b,
                               lr * (t0 - t1).mean(axis=0)]
                 for v, m, g in zip(vel[1:], master[1:], grads):
                     _momentum_step(v, m, g)
-                params = _quantized_rbm(pmap, layer, master, live, groups)
+                params = (master if groups is None else
+                          [_quantize_groups(p, *g) for p, g in zip(master, groups)])
             # after every epoch, so a diverged run stops at its first bad one;
             # the masters, not the quantized parameters: quantizing clips inf
             if not all(np.isfinite(p).all() for p in master):
@@ -606,6 +589,8 @@ def _train_stack(model, images, one_hot, config, first=0):
     """CD on the RBMs from hidden layer ``first`` up, bottom to top, all
     drawing from one generator seeded with ``config.seed``; the layers
     below ``first`` only pass the data up."""
+    check_finite(images, "images")
+    check_finite(one_hot, "one_hot")
     rng = np.random.default_rng(config.seed)
     data = np.asarray(images, dtype=np.float64)
     for layer in range(model.num_hidden_layers - 1):
@@ -620,8 +605,6 @@ def train_ddbn(images, one_hot, layer_sizes, config) -> DdbnModel:
     top-RBM training; deterministic for a fixed config seed."""
     if len(images) == 0:
         raise ValueError("training set is empty")
-    check_finite(images, "images")
-    check_finite(one_hot, "one_hot")
     model = DdbnModel.random_init(layer_sizes, seed=config.seed)
     _train_stack(model, images, one_hot, config)
     model.metadata["train_seed"] = config.seed
@@ -640,8 +623,6 @@ def retrain_quantized(model, pmap, images, one_hot, config, first=0) -> DdbnMode
     parameters are re-quantized after every update; the update steps
     themselves accumulate in full-precision masters so that coarse
     formats do not swallow small gradients. Pruned neurons stay at zero."""
-    check_finite(images, "images")
-    check_finite(one_hot, "one_hot")
     out = model.apply_precision(pmap)
     _train_stack(out, images, one_hot, config, first)
     return out

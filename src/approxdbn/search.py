@@ -182,6 +182,9 @@ def phase2_greedy(model, config, train_images, train_one_hot,
                 acc = evaluator.cut(pmap_next, threshold)
                 if acc < threshold:
                     break
+                # the accepted model's accuracy; a retrain, which follows a cut,
+                # records it again if reverted
+                accepted = acc
                 trace.append(TraceRecord("phase2", iteration, "approximate",
                                          acc / baseline_acc,
                                          pmap_next.total_hidden_bits()))
@@ -198,14 +201,12 @@ def phase2_greedy(model, config, train_images, train_one_hot,
             retrained = CandidateEvaluator(
                 retrain_quantized(current, pmap, train_images, train_one_hot,
                                   retrain_config, first), val_images, val_labels)
-            # the unchanged map: each model's own accuracy, from its evaluator
+            # the unchanged map: the retrained model's own accuracy
             acc = retrained.cut(pmap, threshold)
-            if acc >= threshold:
-                evaluator = retrained
-            else:  # keep the pre-retrain parameters
-                acc = evaluator.cut(pmap)
+            if acc >= threshold:  # else keep the pre-retrain parameters
+                evaluator, accepted = retrained, acc
             trace.append(TraceRecord("phase2", iteration, "retrain",
-                                     acc / baseline_acc,
+                                     accepted / baseline_acc,
                                      pmap.total_hidden_bits()))
         if not changed:
             break
@@ -269,9 +270,9 @@ def approximation_curve(model, config, train_images, train_one_hot,
     rng = np.random.default_rng(order_seed)
     ordering = _neuron_order(model, order == "criticality",
                              train_images, train_one_hot, rng)
-    current = model.apply_precision(pmap)
-    accuracies = [evaluate_accuracy(current, eval_images, eval_labels)]
-    evaluator = CandidateEvaluator(current, eval_images, eval_labels)
+    # the evaluator puts the model on the map's grid
+    evaluator = CandidateEvaluator(replace(model, precision=pmap), eval_images, eval_labels)
+    accuracies = [evaluate_accuracy(evaluator.model, eval_images, eval_labels)]
     stack = max(1, _CHUNK // len(eval_images))  # points per pass: _CHUNK rows
     for start in range(0, len(ordering), stack):
         accuracies += evaluator.prune(ordering[start:start + stack])

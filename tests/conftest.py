@@ -35,7 +35,7 @@ def one_blas_thread():
     cli._pin_blas_to_one_thread()
 
 
-# CD's second lane has a worker thread only when the process may use two CPUs
+# CD runs a batch in two lanes only when the process may use two CPUs
 TWO_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1) > 1
 

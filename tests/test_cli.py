@@ -4,6 +4,8 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -136,7 +138,7 @@ class TestTrainCommand:
         assert "hidden_sizes [8, 6]" in err and "Unable to allocate" in err
         assert not (tmp / "out" / "model.bin").exists()
 
-    @pytest.mark.skipif(not TWO_CPUS, reason="one CPU: the second lane runs inline")
+    @pytest.mark.skipif(not TWO_CPUS, reason="one CPU: CD runs every batch step whole")
     def test_out_of_memory_on_the_cd_worker_exits_2(self, workspace, capsys, monkeypatch):
         tmp, cfg, config = workspace
         # 90 rows x 784 x 200: layer 0's CD batch runs in two lanes
@@ -475,3 +477,14 @@ def test_readme_config_table_lists_every_accepted_key():
                 | {"search.variant"} | {f"curve.{k}" for k in cli._CURVE_KEYS})
     assert len(documented) == len(set(documented))
     assert set(documented) == accepted
+
+
+def test_import_leaves_out_the_cd_worker_pool():
+    """Every command pays for its imports: ``concurrent.futures`` (about 4 ms)
+    loads only when a CD batch runs in two lanes."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import approxdbn.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

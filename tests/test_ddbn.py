@@ -228,17 +228,14 @@ class TestTraining:
 
     def test_diverged_training_stops_after_first_bad_epoch(self, tiny_data, monkeypatch):
         # 60 samples in batches of 10: 6 updates per epoch, 20 epochs; CD
-        # runs its quantize step once per update, with or without a map
+        # makes four _in_lanes calls per update
         X, T, _ = tiny_data
-        calls = []
-        step = ddbn._quantized_rbm
-        monkeypatch.setattr(ddbn, "_quantized_rbm",
-                            lambda *a: (calls.append(1), step(*a))[1])
+        calls = _record_lanes(monkeypatch)
         cfg = TrainConfig(epochs=20, batch_size=10, learning_rate=1.7e308)
         with pytest.warns(RuntimeWarning), \
                 pytest.raises(FloatingPointError, match="not finite"):
             train_ddbn(X, T, [12, 5, 4, 10], cfg)
-        assert 1 <= len(calls) <= 6
+        assert len(calls) % 4 == 0 and 1 <= len(calls) // 4 <= 6
 
 
 class TestRetrainQuantized:
@@ -295,7 +292,8 @@ class TestRetrainQuantized:
             master = [p + rng.uniform(-0.01, 0.01, p.shape) for p in
                       [ddbn._columns(w, live), ddbn._columns(hb, live), *rest]]
             before = [p.tobytes() for p in master]
-            quantized = ddbn._quantized_rbm(pmap, layer, master, live)
+            quantized = [ddbn._quantize_groups(p, *g) for p, g in
+                         zip(master, ddbn._rbm_groups(pmap, layer, live, top))]
             assert [p.tobytes() for p in master] == before
             assert all(q is not p and q.tobytes() != p.tobytes()
                        for q, p in zip(quantized, master))
@@ -427,12 +425,13 @@ def _full_width_cd(model, layer, data, config, rng, targets=None):
 
 
 def _record_lanes(monkeypatch):
-    """A list that gets (split, pool) of every ``ddbn._in_lanes`` call from now on."""
+    """A list that gets, for every ``ddbn._in_lanes`` call from now on, whether
+    it splits: whether it was given a pool."""
     calls, in_lanes = [], ddbn._in_lanes
 
-    def recording(task, n, split, pool):
-        calls.append((split, pool))
-        return in_lanes(task, n, split, pool)
+    def recording(task, n, pool):
+        calls.append(pool is not None)
+        return in_lanes(task, n, pool)
 
     monkeypatch.setattr(ddbn, "_in_lanes", recording)
     return calls
@@ -502,10 +501,11 @@ class TestLiveColumnCd:
             model = model.apply_precision(pmap)
         splits = _record_lanes(monkeypatch)
         self._assert_matches(model, 0, X, TrainConfig(epochs=1, batch_size=batch))
-        # four hand-offs a batch: both up-passes, the down-pass and W's step
-        assert [split for split, _ in splits] == list(np.repeat(lanes, 4))
+        # four hand-offs a batch: both up-passes, the down-pass and W's step;
+        # a process that may use one CPU splits none
+        assert splits == [TWO_CPUS and split for split in np.repeat(lanes, 4)]
 
-    def test_one_cpu_runs_the_second_lane_inline(self, monkeypatch):
+    def test_one_cpu_runs_the_batch_step_whole(self, monkeypatch):
         rng = np.random.default_rng(0)
         X = (rng.random((200, 784)) > 0.7).astype(float)
         model = DdbnModel.random_init([784, 200, 50, 10], seed=1, scale=0.05)
@@ -514,7 +514,7 @@ class TestLiveColumnCd:
         monkeypatch.setattr(ddbn.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         splits = _record_lanes(monkeypatch)
         self._assert_matches(model, 0, X, cfg)
-        assert splits and all(split and pool is None for split, pool in splits)
+        assert splits and not any(splits)
 
     @staticmethod
     def _assert_matches(model, layer, data, cfg, targets=None):
@@ -527,7 +527,7 @@ class TestLiveColumnCd:
         assert _parameter_bytes(got) != _parameter_bytes(model)
 
 
-@pytest.mark.skipif(not TWO_CPUS, reason="one CPU: the second lane runs inline")
+@pytest.mark.skipif(not TWO_CPUS, reason="one CPU: CD runs every batch step whole")
 class TestCdWorker:
     """The worker of CD's second lane runs under the caller's numpy error state,
     its exception raises in the caller, and it ends with ``_cd``."""

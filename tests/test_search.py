@@ -204,6 +204,35 @@ def test_phase2_orders_from_kept_layer0(tiny_setup, monkeypatch):
         [*b.weights, *b.hidden_biases, b.class_weights]))
 
 
+def test_reverted_retrain_records_the_accepted_accuracy(tiny_setup, monkeypatch):
+    """A retrain that fails the constraint is reverted without another look at
+    the kept model: its record repeats the last accepted accuracy."""
+    model, X, T, y, tcfg = tiny_setup
+    current = model.apply_precision(PrecisionMap.uniform(model.hidden_sizes, 6))
+    baseline = ddbn.evaluate_accuracy(model, X, y)
+    # a retrained model predicts class 9, which no label is: accuracy 0
+    monkeypatch.setattr(search, "retrain_quantized", lambda m, pmap, *a: dataclasses.replace(
+        m.apply_precision(pmap), class_weights=np.zeros_like(m.class_weights),
+        class_bias=np.eye(10)[9]))
+    own_map_cuts = []  # per cut of an evaluator's own map: does its model classify?
+    cut = ddbn.CandidateEvaluator.cut
+
+    def recording(self, pmap, threshold=None):
+        if all(np.array_equal(a, b) for a, b in
+               zip(pmap.hidden_frac_bits, self.model.precision.hidden_frac_bits)):
+            own_map_cuts.append(bool(self.model.class_weights.any()))
+        return cut(self, pmap, threshold)
+
+    monkeypatch.setattr(ddbn.CandidateEvaluator, "cut", recording)
+    _, trace = search.phase2_greedy(current, SearchConfig(), X, T, X, y, baseline,
+                                    train_config=tcfg)
+    retrains = [i for i, r in enumerate(trace) if r.event == "retrain"]
+    assert retrains and own_map_cuts == [False] * len(retrains)
+    for i in retrains:
+        assert trace[i - 1].event == "approximate"
+        assert trace[i].relative_accuracy == trace[i - 1].relative_accuracy
+
+
 class _ScriptedEvaluator:
     """Stands in for ``CandidateEvaluator``: a candidate passes when every
     neuron whose budget it changed is still in ``allowed``; a cut that meets its
@@ -299,6 +328,17 @@ class TestCurve:
         # all neurons pruned: the constant-class predictor
         all_zero = model.apply_precision(PrecisionMap.uniform(model.hidden_sizes, 0))
         assert curve[-1] == evaluate_accuracy(all_zero, X, y)
+
+    def test_quantizes_the_model_once(self, tiny_setup, monkeypatch):
+        """The evaluator puts the model on the map's grid, and point 0 reads the
+        evaluator's model."""
+        model, X, T, y, _ = tiny_setup
+        calls = []
+        apply = DdbnModel.apply_precision
+        monkeypatch.setattr(DdbnModel, "apply_precision",
+                            lambda self, pmap: (calls.append(pmap), apply(self, pmap))[1])
+        approximation_curve(model, SearchConfig(), X, T, X, y)
+        assert len(calls) == 1
 
     def test_random_order_reproducible(self, tiny_setup):
         model, X, T, y, _ = tiny_setup

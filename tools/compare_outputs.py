@@ -14,7 +14,7 @@ candidate evaluator keeps no layer), ``curve_test`` (``curve`` on the test
 images: 3,000 rows on ``retrain``, so stacks of one curve point, and 1,000 on
 ``sweep``, stacks of two), ``eval`` in the other inference mode
 and ``train_one_cpu``: ``train`` again in a child limited to one CPU by its
-own affinity, where CD's second lane runs inline. On a workload with three
+own affinity, where CD runs every batch step whole. On a workload with three
 or more hidden layers it adds ``search_full`` (variant ``full``, 2 retrain
 epochs, 5% loss), whose retrains train layer 1 as a lower RBM under a
 precision map. Both trees write to the same output directory, one after
