@@ -9,12 +9,9 @@ class probabilities over repetitions, mean-field mode propagates
 probabilities deterministically.
 """
 
-import contextlib
-import contextvars
 import json
 import math
 import operator
-import os
 import struct
 import zlib
 from dataclasses import dataclass, field, replace
@@ -28,12 +25,6 @@ MODEL_VERSION = 1
 _CHUNK = 2048  # rows per propagation step: classify, criticality
 _BLOCK = 256  # rows per step of an early-stopping walk
 MOMENTUM = 0.5  # CD velocity decay
-# multiply-adds (b * n_v * n_h / 2) that each half of a CD product must pass for
-# its batch to run in two lanes. A batch waits four times for the worker, 80-130 us
-# each, and a half takes about 65% of the whole product's time, which puts break-even
-# between 1.3 and 2.2 * 10**6; twice that pays for the joins and the cache traffic.
-# Below about 10**6, OpenBLAS's small-matrix path gave a half other bytes.
-_GRAIN = 2 ** 22
 
 
 class ModelFileError(Exception):
@@ -41,10 +32,15 @@ class ModelFileError(Exception):
 
 
 def sigmoid(x):
-    """1 / (1 + exp(-x)), computed in one fresh array."""
-    x = np.asarray(x, dtype=np.float64)
+    """1 / (1 + exp(-x)), computed in one fresh array: in float32 for a float32
+    ``x``, else in float64. Below -88 (float32) or -709 (float64) exp(-x)
+    overflows to inf, which gives the right limit, +0.0, without a warning."""
+    x = np.asarray(x)
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
     out = np.negative(x, out=np.empty_like(x))
-    np.exp(out, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
     out += 1.0
     return np.reciprocal(out, out=out)
 
@@ -469,22 +465,6 @@ def _set_rbm_params(model, layer, params):
         model.class_weights, model.class_bias = cls
 
 
-def _in_lanes(task, n, pool):
-    """``task`` over the index range [0, n): one call without ``pool``; with it, one
-    over the lower half here and one over the upper half on ``pool``'s worker, under
-    this thread's numpy error state, with their results joined along the last axis.
-    The worker's exception re-raises here."""
-    if pool is None:
-        return task(slice(None))
-    future = pool.submit(contextvars.copy_context().run, task, slice(n // 2, n))
-    try:
-        low = task(slice(0, n // 2))
-    finally:
-        future.exception()  # waits: the worker reads and writes this thread's arrays
-    high = future.result()
-    return None if low is None else np.concatenate([low, high], axis=-1)
-
-
 def _momentum_step(vel, master, grad):
     """In place: ``vel`` = MOMENTUM * ``vel`` + ``grad``, then ``master`` += ``vel``."""
     vel *= MOMENTUM
@@ -505,15 +485,11 @@ def _cd(model, layer, data, config, rng, targets=None):
     uniforms are still drawn. The top RBM trains every column, as its class
     weights read the pruned neurons' states.
 
-    A batch whose half products pass ``_GRAIN`` multiply-adds runs in two lanes,
-    this thread and one worker thread: the up-passes by hidden-column halves,
-    the down-pass and W's gradient, velocity and master by visible-row halves.
-    The halves depend on the shapes alone, and with BLAS on one thread, as the
-    CLI runs it, a half has the whole product's bytes: no result depends on the
-    CPU count. The rest (the generator's draws, the other gradients, quantizing
-    and the divergence check) stays on this thread. The top RBM, a narrow one, a
-    short batch and every batch of a process that may use only one CPU run the
-    step whole, over one full range."""
+    Each batch step runs in float32: the batch, the parameters it reads (cast
+    from the quantized or, without a map, the master ones), the products, the
+    sigmoids, the sampled states and the gradients. The masters and velocities
+    take the gradients in float64, and quantizing, the divergence check and the
+    model stay float64. The uniforms and the class softmax stay float64 too."""
     top = targets is not None
     pmap = model.precision
     width = model.layer_sizes[layer + 1]
@@ -525,53 +501,44 @@ def _cd(model, layer, data, config, rng, targets=None):
     vel = [np.zeros_like(p) for p in master]
     # built once: no budget changes during the call
     groups = None if pmap is None else _rbm_groups(pmap, layer, live, top)
-    n, (n_v, n_h) = len(data), master[0].shape
-    lr = config.learning_rate
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    lanes = cpus > 1 and not top and min(n, config.batch_size) * n_v * n_h > 2 * _GRAIN
-    if lanes:
-        from concurrent.futures import ThreadPoolExecutor  # not at package import: ~4 ms
-    with ThreadPoolExecutor(1) if lanes else contextlib.nullcontext() as pool:
-        for _ in range(config.epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, config.batch_size):
-                sel = order[start:start + config.batch_size]
-                x0 = data[sel]
-                t0 = targets[sel] if top else None
-                w, hb, vb, *cls = params
-                b = len(x0)
-                lane = pool if b * n_v * n_h > 2 * _GRAIN else None
+    n, lr = len(data), config.learning_rate
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            sel = order[start:start + config.batch_size]
+            x0 = data[sel].astype(np.float32)
+            t0 = targets[sel].astype(np.float32) if top else None
+            w, hb, vb, *cls = (p.astype(np.float32) for p in params)
+            b = len(x0)
 
-                def up(x, t):  # hidden probabilities, by columns c
-                    return lambda c: sigmoid(
-                        (x @ w[:, c] if t is None else x @ w[:, c] + t @ cls[0][c].T) + hb[c])
-
-                def w_step(r):  # W's rows r
-                    g = lr * (x0[:, r].T @ ph0 - x1[:, r].T @ ph1) / b
-                    _momentum_step(vel[0][r], master[0][r], g)
-
-                ph0 = _in_lanes(up(x0, t0), n_h, lane)
-                u = _columns(rng.random((b, width)), live)
-                h0 = (u < ph0).astype(np.float64)
-                x1 = _in_lanes(lambda r: sigmoid(h0 @ w[r].T + vb[r]), n_v, lane)
-                t1 = _sample_one_hot(softmax(h0 @ cls[0] + cls[1]), rng) if top else None
-                ph1 = _in_lanes(up(x1, t1), n_h, lane)
-                _in_lanes(w_step, n_v, lane)
-                grads = [lr * (ph0 - ph1).mean(axis=0), lr * (x0 - x1).mean(axis=0)]
+            def up(x, t):  # hidden probabilities
+                z = x @ w + hb
                 if top:
-                    grads += [lr * (ph0.T @ t0 - ph1.T @ t1) / b,
-                              lr * (t0 - t1).mean(axis=0)]
-                for v, m, g in zip(vel[1:], master[1:], grads):
-                    _momentum_step(v, m, g)
-                params = (master if groups is None else
-                          [_quantize_groups(p, *g) for p, g in zip(master, groups)])
-            # after every epoch, so a diverged run stops at its first bad one;
-            # the masters, not the quantized parameters: quantizing clips inf
-            if not all(np.isfinite(p).all() for p in master):
-                raise FloatingPointError(
-                    f"CD training of the RBM under hidden layer {layer} diverged: "
-                    "a parameter is not finite")
+                    z += t @ cls[0].T
+                return sigmoid(z)
+
+            ph0 = up(x0, t0)
+            u = _columns(rng.random((b, width)), live)
+            h0 = (u < ph0).astype(np.float32)
+            x1 = sigmoid(h0 @ w.T + vb)
+            t1 = (_sample_one_hot(softmax(h0 @ cls[0] + cls[1]), rng).astype(np.float32)
+                  if top else None)
+            ph1 = up(x1, t1)
+            grads = [lr * (x0.T @ ph0 - x1.T @ ph1) / b,
+                     lr * (ph0 - ph1).mean(axis=0), lr * (x0 - x1).mean(axis=0)]
+            if top:
+                grads += [lr * (ph0.T @ t0 - ph1.T @ t1) / b,
+                          lr * (t0 - t1).mean(axis=0)]
+            for v, m, g in zip(vel, master, grads):
+                _momentum_step(v, m, g)
+            params = (master if groups is None else
+                      [_quantize_groups(p, *g) for p, g in zip(master, groups)])
+        # after every epoch, so a diverged run stops at its first bad one;
+        # the masters, not the quantized parameters: quantizing clips inf
+        if not all(np.isfinite(p).all() for p in master):
+            raise FloatingPointError(
+                f"CD training of the RBM under hidden layer {layer} diverged: "
+                "a parameter is not finite")
     w, hb, *rest = params  # full width, +0 in the pruned columns
     _set_rbm_params(model, layer, [_with_columns(np.zeros((len(w), width)), live, w),
                                    _with_columns(np.zeros(width), live, hb), *rest])

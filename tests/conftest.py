@@ -1,6 +1,5 @@
 import os
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,29 +28,9 @@ def mnist_paths():
 def one_blas_thread():
     """BLAS on one thread for every test, as ``cli.main`` runs it. It pins BLAS
     process-wide, so without this a test run alone would get other threads than
-    after a CLI test; and with more than one, OpenBLAS splits a half product's work
-    otherwise than the whole product's, so CD's lanes would give other bytes."""
+    after a CLI test, and with them other float sums in training."""
     from approxdbn import cli
     cli._pin_blas_to_one_thread()
-
-
-# CD runs a batch in two lanes only when the process may use two CPUs
-TWO_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1) > 1
-
-
-def on_cd_worker(monkeypatch, action):
-    """Make ``ddbn.sigmoid`` call ``action()`` first whenever it runs off the
-    main thread: on the worker of CD's second lane."""
-    from approxdbn import ddbn
-    sigmoid = ddbn.sigmoid
-
-    def patched(x):
-        if threading.current_thread() is not threading.main_thread():
-            action()
-        return sigmoid(x)
-
-    monkeypatch.setattr(ddbn, "sigmoid", patched)
 
 
 def write_idx_pair(images, labels, images_path, labels_path,

@@ -360,12 +360,12 @@ def test_thread_count_determinism_generated(tmp_path):
     config = {
         "train_images": str(tmp_path / "imgs"),
         "train_labels": str(tmp_path / "lbls"),
-        # layer 0's CD products (100 x 784 x 128 per batch) run in two lanes
+        # layer 0's CD products: 100 x 784 x 128 per batch, in float32
         "hidden_sizes": [128, 20],
         "search": {"retrain_epochs": 1},
     }
     differ = _differences_across_thread_counts(tmp_path, config)
-    if hasattr(os, "sched_setaffinity"):  # train again with one CPU: one lane
+    if hasattr(os, "sched_setaffinity"):  # train again on one CPU
         cfg_path = tmp_path / "config_one_cpu.json"
         cfg_path.write_text(json.dumps(dict(config, out_dir=str(tmp_path / "one_cpu"))))
         _run_cli(["train", "--config", str(cfg_path)], 1, tmp_path,

@@ -3,8 +3,7 @@ a tree compared with itself shows no difference, and a tree whose output
 changes by one byte is caught in every run that prints it (``search_full``
 only on a workload with three or more hidden layers), for one seed or
 several in one call; with no flags it runs every workload with the seeds
-1, 7 and 32. A tree whose ``train`` model depends on the CPU count is caught
-by ``train_one_cpu``."""
+1, 7 and 32."""
 
 import dataclasses
 import importlib.util
@@ -13,8 +12,6 @@ import types
 from pathlib import Path
 
 import pytest
-
-from conftest import TWO_CPUS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,17 +47,6 @@ def _changed_tree(path, old='print(f"wrote {len(curves)}', new='print(f"Wrote {l
     assert old in text
     source.write_text(text.replace(old, new))
     return path
-
-
-@pytest.mark.skipif(not TWO_CPUS, reason="one CPU: train_one_cpu runs as train does")
-def test_model_that_depends_on_the_cpu_count_is_caught(tool, tmp_path):
-    # a tree whose train writes the CPU count into model.bin's metadata
-    changed = _changed_tree(tmp_path / "changed", 'model.metadata["train_seed"] = config.seed',
-                            'model.metadata["train_seed"] = len(__import__("os")'
-                            '.sched_getaffinity(0))', "ddbn.py")
-    diffs = tool.compare(ROOT, changed, _tiny(tool), 1, tmp_path / "work")
-    assert f"differs: train_one_cpu/model.bin from train/model.bin with {changed}" in diffs
-    assert not any(str(ROOT) in d for d in diffs)
 
 
 def test_changed_output_is_caught(tool, tmp_path):

@@ -3,7 +3,7 @@ import itertools
 import math
 import re
 import struct
-import threading
+import warnings
 import zlib
 
 import numpy as np
@@ -24,8 +24,6 @@ from approxdbn.ddbn import (
     softmax,
     train_ddbn,
 )
-
-from conftest import TWO_CPUS, on_cd_worker
 
 
 def zero_model(layer_sizes):
@@ -51,6 +49,22 @@ class TestSigmoidSoftmax:
 
     def test_sigmoid_saturation(self):
         assert abs(sigmoid(100.0) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("dtype,low", [(np.float32, -89.0), (np.float64, -710.0)])
+    def test_sigmoid_keeps_its_precision_and_underflows_quietly(self, dtype, low):
+        # exp(-x) overflows below -88 in float32 and -709 in float64; the limit is +0.0
+        x = np.array([low, -1.0, 0.0, 2.5], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(x)
+        assert out.dtype == dtype
+        assert out[0] == 0.0 and not np.signbit(out[0])
+        with np.errstate(over="ignore"):
+            want = 1.0 / (1.0 + np.exp(-x))
+        assert out.tobytes() == want.astype(dtype).tobytes()
+
+    def test_sigmoid_of_integers_is_float64(self):
+        assert sigmoid(np.arange(3)).dtype == np.float64
 
     def test_softmax_uniform(self):
         np.testing.assert_allclose(softmax(np.full(10, 3.7)), 0.1, atol=1e-15)
@@ -227,15 +241,22 @@ class TestTraining:
         assert any("overflow" in str(w.message) for w in record)
 
     def test_diverged_training_stops_after_first_bad_epoch(self, tiny_data, monkeypatch):
-        # 60 samples in batches of 10: 6 updates per epoch, 20 epochs; CD
-        # makes four _in_lanes calls per update
+        # 60 samples in batches of 10: 6 updates per epoch, 20 epochs; an update
+        # of layer 0's RBM makes three momentum steps: W, hidden and visible bias
         X, T, _ = tiny_data
-        calls = _record_lanes(monkeypatch)
+        calls, step = [], ddbn._momentum_step
+
+        def counting(vel, master, grad):
+            calls.append(master.shape)
+            step(vel, master, grad)
+
+        monkeypatch.setattr(ddbn, "_momentum_step", counting)
         cfg = TrainConfig(epochs=20, batch_size=10, learning_rate=1.7e308)
         with pytest.warns(RuntimeWarning), \
                 pytest.raises(FloatingPointError, match="not finite"):
             train_ddbn(X, T, [12, 5, 4, 10], cfg)
-        assert len(calls) % 4 == 0 and 1 <= len(calls) // 4 <= 6
+        assert calls[:3] == [(12, 5), (5,), (12,)]
+        assert len(calls) % 3 == 0 and 1 <= len(calls) // 3 <= 6
 
 
 class TestRetrainQuantized:
@@ -327,9 +348,14 @@ def _rbm_bytes(model, layers):
     return [p.tobytes() for layer in layers for p in ddbn._rbm_params(model, layer, False)]
 
 
+def _parameters(model):
+    return [p for layer in range(model.num_hidden_layers)
+            for p in ddbn._rbm_params(model, layer, False)] + [
+        model.class_weights, model.class_bias]
+
+
 def _parameter_bytes(model):
-    return _rbm_bytes(model, range(model.num_hidden_layers)) + [
-        model.class_weights.tobytes(), model.class_bias.tobytes()]
+    return [p.tobytes() for p in _parameters(model)]
 
 
 class TestTrainStack:
@@ -383,8 +409,8 @@ class TestTrainStack:
 
 def _full_width_cd(model, layer, data, config, rng, targets=None):
     """The reference for ``ddbn._cd``: CD-1 on every column of the RBM under
-    hidden layer ``layer``, pruned or not, writing the masters into the model
-    and requantizing it after every update."""
+    hidden layer ``layer``, pruned or not, each batch step in float32, writing
+    the float64 masters into the model and requantizing it after every update."""
     top = targets is not None
     master = [p.copy() for p in ddbn._rbm_params(model, layer, top)]
     vel = [np.zeros_like(p) for p in master]
@@ -393,18 +419,21 @@ def _full_width_cd(model, layer, data, config, rng, targets=None):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             sel = order[start:start + config.batch_size]
-            x0 = data[sel]
-            t0 = targets[sel] if top else None
-            w, hb, vb, *cls = ddbn._rbm_params(model, layer, top)
+            x0 = data[sel].astype(np.float32)
+            t0 = targets[sel].astype(np.float32) if top else None
+            w, hb, vb, *cls = (p.astype(np.float32)
+                               for p in ddbn._rbm_params(model, layer, top))
 
             def up(x, t):
-                z = x @ w if t is None else x @ w + t @ cls[0].T
-                return sigmoid(z + hb)
+                z = x @ w + hb
+                if t is not None:
+                    z += t @ cls[0].T
+                return sigmoid(z)
 
             ph0 = up(x0, t0)
-            h0 = (rng.random(ph0.shape) < ph0).astype(np.float64)
+            h0 = (rng.random(ph0.shape) < ph0).astype(np.float32)
             x1 = sigmoid(h0 @ w.T + vb)
-            t1 = (ddbn._sample_one_hot(softmax(h0 @ cls[0] + cls[1]), rng)
+            t1 = (ddbn._sample_one_hot(softmax(h0 @ cls[0] + cls[1]), rng).astype(np.float32)
                   if top else None)
             ph1 = up(x1, t1)
             b = len(x0)
@@ -416,25 +445,13 @@ def _full_width_cd(model, layer, data, config, rng, targets=None):
                 grads += [lr * (ph0.T @ t0 - ph1.T @ t1) / b,
                           lr * (t0 - t1).mean(axis=0)]
             for i, g in enumerate(grads):
+                assert g.dtype == np.float32
                 vel[i] = ddbn.MOMENTUM * vel[i] + g
                 master[i] = master[i] + vel[i]
             ddbn._set_rbm_params(model, layer, master)
             ddbn._requantize_layer(model, layer)
             if top:
                 ddbn._requantize_class(model)
-
-
-def _record_lanes(monkeypatch):
-    """A list that gets, for every ``ddbn._in_lanes`` call from now on, whether
-    it splits: whether it was given a pool."""
-    calls, in_lanes = [], ddbn._in_lanes
-
-    def recording(task, n, pool):
-        calls.append(pool is not None)
-        return in_lanes(task, n, pool)
-
-    monkeypatch.setattr(ddbn, "_in_lanes", recording)
-    return calls
 
 
 class TestLiveColumnCd:
@@ -480,41 +497,22 @@ class TestLiveColumnCd:
         self._assert_matches(model.apply_precision(pmap), 0, X,
                              TrainConfig(epochs=1, batch_size=100))
 
-    @pytest.mark.parametrize("hidden,n,batch,pruned,lanes", [
-        # no map: every batch's half products pass _GRAIN
-        (200, 300, 100, 0, [True] * 3),
-        # mixed budgets, 20 pruned: 80 live columns of 200-row batches pass it
-        (100, 600, 200, 20, [True] * 3),
-        # the short last batch, 50 rows, falls under it: one lane
-        (200, 250, 100, 0, [True, True, False]),
-    ])
-    def test_lanes_match_every_column_cd(self, monkeypatch, hidden, n,
-                                         batch, pruned, lanes):
+    @pytest.mark.parametrize("pruned,mixed", [(0, False), (60, True)])
+    def test_wide_layer_matches_every_column_cd(self, pruned, mixed):
+        # 784 x 200, as layer 0 of the sweep workload; mixed live budgets too
         rng = np.random.default_rng(0)
-        X = (rng.random((n, 784)) > 0.7).astype(float)
-        model = DdbnModel.random_init([784, hidden, 50, 10], seed=1, scale=0.05)
-        if pruned:
-            pmap = PrecisionMap.uniform([hidden, 50], 6)
-            rest = hidden - pruned
-            pmap.hidden_frac_bits[0] = rng.permutation(
-                np.repeat([0, 4, 6, 9], [pruned, rest // 3, rest // 3, rest - 2 * (rest // 3)]))
-            model = model.apply_precision(pmap)
-        splits = _record_lanes(monkeypatch)
-        self._assert_matches(model, 0, X, TrainConfig(epochs=1, batch_size=batch))
-        # four hand-offs a batch: both up-passes, the down-pass and W's step;
-        # a process that may use one CPU splits none
-        assert splits == [TWO_CPUS and split for split in np.repeat(lanes, 4)]
-
-    def test_one_cpu_runs_the_batch_step_whole(self, monkeypatch):
-        rng = np.random.default_rng(0)
-        X = (rng.random((200, 784)) > 0.7).astype(float)
+        X = (rng.random((250, 784)) > 0.7).astype(float)
         model = DdbnModel.random_init([784, 200, 50, 10], seed=1, scale=0.05)
-        cfg = TrainConfig(epochs=1, batch_size=100)
-        self._assert_matches(model, 0, X, cfg)  # with the worker, given two CPUs
-        monkeypatch.setattr(ddbn.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        splits = _record_lanes(monkeypatch)
-        self._assert_matches(model, 0, X, cfg)
-        assert splits and not any(splits)
+        if pruned:
+            pmap = PrecisionMap.uniform([200, 50], 6)
+            rest = 200 - pruned
+            bits = [4, 6, 9] if mixed else [6]
+            counts = [rest // len(bits)] * (len(bits) - 1)
+            pmap.hidden_frac_bits[0] = rng.permutation(
+                np.repeat([0, *bits], [pruned, *counts, rest - sum(counts)]))
+            model = model.apply_precision(pmap)
+        # a short last batch
+        self._assert_matches(model, 0, X, TrainConfig(epochs=1, batch_size=100))
 
     @staticmethod
     def _assert_matches(model, layer, data, cfg, targets=None):
@@ -527,45 +525,59 @@ class TestLiveColumnCd:
         assert _parameter_bytes(got) != _parameter_bytes(model)
 
 
-@pytest.mark.skipif(not TWO_CPUS, reason="one CPU: CD runs every batch step whole")
-class TestCdWorker:
-    """The worker of CD's second lane runs under the caller's numpy error state,
-    its exception raises in the caller, and it ends with ``_cd``."""
+class TestFloat32Cd:
+    """CD's batch step runs in float32; what it leaves in the model is float64,
+    on its map's grid, +0.0 in pruned columns, and saved and loaded unchanged."""
+
+    SIZES = [12, 6, 5, 4, 10]
 
     @staticmethod
-    def _wide_cd():
-        rng = np.random.default_rng(0)
-        X = (rng.random((100, 784)) > 0.7).astype(float)
-        model = DdbnModel.random_init([784, 200, 50, 10], seed=1, scale=0.05)
-        ddbn._cd(model, 0, X, TrainConfig(epochs=1, batch_size=100),
-                 np.random.default_rng(9))
+    def _assert_stored(model, tmp_path):
+        params = _parameters(model)
+        assert all(p.dtype == np.float64 for p in params)
+        save_model(model, tmp_path / "m.bin")
+        assert _parameter_bytes(load_model(tmp_path / "m.bin")) == _parameter_bytes(model)
 
-    def test_worker_uses_the_callers_error_state(self, monkeypatch):
-        seen = []
-        on_cd_worker(monkeypatch, lambda: seen.append(np.geterr()))
-        with np.errstate(over="raise", invalid="ignore"):
-            want = np.geterr()
-            self._wide_cd()
-        assert seen and all(s == want for s in seen)
-        assert want != np.geterr()
+    def test_trained_and_retrained_parameters(self, tiny_data, tmp_path):
+        X, T, _ = tiny_data
+        cfg = TrainConfig(epochs=2, batch_size=25, seed=5)
+        model = train_ddbn(X, T, self.SIZES, cfg)
+        self._assert_stored(model, tmp_path)
+        pmap = PrecisionMap.uniform(self.SIZES[1:-1], 5)
+        pmap.hidden_frac_bits[0][[1, 4]] = 3
+        for layer, idx in ((0, [0, 5]), (1, [2]), (2, [1, 3])):
+            pmap.hidden_frac_bits[layer][idx] = 0
+        out = retrain_quantized(model, pmap, X, T, cfg)
+        self._assert_stored(out, tmp_path)
+        assert _parameter_bytes(out.apply_precision(pmap)) == _parameter_bytes(out)
+        assert _parameter_bytes(out) != _parameter_bytes(model.apply_precision(pmap))
+        for layer, bits in enumerate(pmap.hidden_frac_bits):
+            pruned = [out.weights[layer][:, bits == 0], out.hidden_biases[layer][bits == 0]]
+            if layer + 1 < out.num_hidden_layers:  # the visible bias above it
+                pruned.append(out.visible_biases[layer + 1][bits == 0])
+            for p in pruned:
+                assert p.size and (p == 0.0).all() and not np.signbit(p).any()
 
-    def test_worker_exception_raises_in_the_caller(self, monkeypatch):
-        threads = threading.enumerate()
-
-        def fail():
-            raise MemoryError("out of memory on the worker")
-
-        on_cd_worker(monkeypatch, fail)
-        with pytest.raises(MemoryError, match="on the worker"):
-            self._wide_cd()
-        assert threading.enumerate() == threads
-
-    def test_no_thread_outlives_cd(self, monkeypatch):
-        threads, workers = threading.enumerate(), set()
-        on_cd_worker(monkeypatch, lambda: workers.add(threading.current_thread()))
-        self._wide_cd()
-        assert len(workers) == 1 and not workers.pop().is_alive()
-        assert threading.enumerate() == threads
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_preactivations_below_float32_exp_range_train_quietly(self, quantized):
+        # binary rows with at least one 1 meet a -100 weight column: float32
+        # exp(-z) overflows for every row, and the sigmoid's limit is +0.0
+        rng = np.random.default_rng(2)
+        X = (rng.random((40, 12)) > 0.5).astype(float)
+        X[:, 0] = 1.0
+        model = DdbnModel.random_init(self.SIZES, seed=1, scale=0.05)
+        model.weights[0][:, 3] = -100.0
+        if quantized:
+            model = model.apply_precision(PrecisionMap.uniform(self.SIZES[1:-1], 6))
+        z = X.astype(np.float32) @ model.weights[0].astype(np.float32)
+        assert (z[:, 3] + model.hidden_biases[0][3] < -88.8).all()
+        before = _parameter_bytes(model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ddbn._cd(model, 0, X, TrainConfig(epochs=2, batch_size=10),
+                     np.random.default_rng(0))
+        assert _parameter_bytes(model) != before
+        assert all(np.isfinite(p).all() for p in _parameters(model))
 
 
 class TestEvaluate:

@@ -12,17 +12,14 @@ each tree's ``src/`` (BLAS pinned to one thread): the workload's
 test images set, ``curve_wide`` (``curve`` with 24-bit budgets, where the
 candidate evaluator keeps no layer), ``curve_test`` (``curve`` on the test
 images: 3,000 rows on ``retrain``, so stacks of one curve point, and 1,000 on
-``sweep``, stacks of two), ``eval`` in the other inference mode
-and ``train_one_cpu``: ``train`` again in a child limited to one CPU by its
-own affinity, where CD runs every batch step whole. On a workload with three
-or more hidden layers it adds ``search_full`` (variant ``full``, 2 retrain
-epochs, 5% loss), whose retrains train layer 1 as a lower RBM under a
-precision map. Both trees write to the same output directory, one after
+``sweep``, stacks of two) and ``eval`` in the other inference mode. On a
+workload with three or more hidden layers it adds ``search_full`` (variant
+``full``, 2 retrain epochs, 5% loss), whose retrains train layer 1 as a
+lower RBM under a precision map. Both trees write to the same output directory, one after
 the other, since some commands print that path. It hashes every file the
 commands write, except ``config_echo.json`` (it names the input paths),
 plus each command's standard output and exit code. It prints every
-difference between the trees, every tree whose ``train_one_cpu`` model
-differs from its ``train`` model, and every command that did not exit 0,
+difference between the trees and every command that did not exit 0,
 run by run, and exits 1 if there is one for any run, else 0.
 """
 
@@ -48,8 +45,6 @@ SEEDS = (1, 7, 32)
 WIDE_FRAC_BITS = 24
 # search_full's settings: the full method, kept short
 FULL_SEARCH = {"variant": "full", "retrain_epochs": 2, "max_relative_accuracy_loss": 0.05}
-# the workload's train again, in a child limited to one CPU by its own affinity
-ONE_CPU_TRAIN = "train_one_cpu"
 
 
 def load_workloads():
@@ -87,8 +82,7 @@ def commands(inputs, out):
         test_curve = dict(json.load(f)["curve"], eval_split="test")
     curve_test_config = _config(inputs, test_config, "curve_test_config.json",
                                 curve=test_curve)
-    train_argv, eval_argv = dict(cmds)["train"], dict(cmds)["eval"]
-    at = train_argv.index("--out") + 1
+    eval_argv = dict(cmds)["eval"]
     other = "mean_field" if inputs.workload.eval_mode == "stochastic" else "stochastic"
     mode = eval_argv.index("--mode") + 1
     model = os.path.join(out, "train", "model.bin")
@@ -100,8 +94,6 @@ def commands(inputs, out):
         ("curve_test", ["curve", "--config", curve_test_config, "--model", model,
                         "--out", os.path.join(out, "curve_test")]),
         ("eval_other", eval_argv[:mode] + [other] + eval_argv[mode + 1:]),
-        (ONE_CPU_TRAIN, train_argv[:at] + [os.path.join(out, ONE_CPU_TRAIN)]
-         + train_argv[at + 1:]),
     ]
     if len(inputs.workload.hidden_sizes) > 2:  # a lower RBM above layer 0
         full_config = _config(inputs, inputs.config, "search_full_config.json",
@@ -115,11 +107,6 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def _one_cpu():
-    """Limit the calling process to one of the CPUs it may use."""
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-
-
 def run_tree(tree, inputs, out):
     """Digests of one tree's run: ``file:<path>``, ``stdout:<command>``
     and ``exit:<command>``."""
@@ -131,8 +118,7 @@ def run_tree(tree, inputs, out):
     digests = {}
     for name, argv in commands(inputs, out):
         proc = subprocess.run([sys.executable, "-m", "approxdbn", *argv], env=env,
-                              cwd=inputs.root, capture_output=True,
-                              preexec_fn=_one_cpu if name == ONE_CPU_TRAIN else None)
+                              cwd=inputs.root, capture_output=True)
         digests[f"stdout:{name}"] = _sha256(proc.stdout)
         digests[f"exit:{name}"] = str(proc.returncode)
     for path in sorted(Path(out).rglob("*")):
@@ -151,9 +137,6 @@ def compare(tree_a, tree_b, workload, seed, work):
     (_, a), (_, b) = runs
     lines = [f"differs: {key} ({a.get(key, 'missing')[:12]} vs {b.get(key, 'missing')[:12]})"
              for key in sorted(a.keys() | b.keys()) if a.get(key) != b.get(key)]
-    lines += [f"differs: {ONE_CPU_TRAIN}/model.bin from train/model.bin with {tree}"
-              for tree, run in runs if run.get(f"file:{ONE_CPU_TRAIN}/model.bin")
-              != run.get("file:train/model.bin")]
     return lines + [f"failed: {key[5:]} exited {code} with {tree}"
                     for tree, run in runs for key, code in run.items()
                     if key.startswith("exit:") and code != "0"]
