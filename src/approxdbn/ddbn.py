@@ -208,6 +208,74 @@ def _quantize_columns(arr, frac_bits, pmap, activation=False):
     return _quantize_groups(arr, *_budget_groups(frac_bits, pmap, activation))
 
 
+def _quantized_sigmoid(z, bits, pmap):
+    """The activation of the pre-activations ``z`` under the budgets ``bits``, one per
+    column: quantized, then the sigmoid, then quantized as an activation."""
+    z = _quantize_columns(z, bits, pmap)
+    return _quantize_columns(sigmoid(z), bits, pmap, activation=True)
+
+
+_TABLE_BITS = 16  # a Qm.b grid of at most 2**16 values (m + b <= 16) is looked up
+_tables = {}  # (weight_int_bits, activation_frac_bits) -> _table_bank's result
+
+
+def _table_bank(pmap, top):
+    """(values, first, last, offset), budget b's table holding ``_quantized_sigmoid``
+    of each k / 2^b of its Qm.b grid with first[b] <= k <= last[b] (the non-constant
+    middle and one entry of each constant end) at ``values[k + offset[b]]``. Built
+    for the budgets up to ``top`` the first time one needs it; kept for the process."""
+    key = (pmap.weight_int_bits, pmap.activation_frac_bits)
+    values, first, last, _ = bank = _tables.get(key, (np.empty(0), [], [], None))
+    if len(first) > top:
+        return bank
+    parts, first, last = [values], list(first), list(last)
+    for b in range(len(first), top + 1):
+        scale, lo, hi = pmap.grid(b, False)
+        k = np.arange(lo * scale, hi * scale + 1)  # exact integers
+        q = _quantized_sigmoid(k / scale, b, pmap)
+        change = np.flatnonzero(q[1:] != q[:-1])
+        i, j = (change[0], change[-1] + 1) if len(change) else (0, 0)
+        first.append(k[i])
+        last.append(k[j])
+        parts.append(q[i:j + 1])
+    first, last = np.array(first), np.array(last)
+    size = last - first + 1
+    bank = _tables[key] = (np.concatenate(parts), first, last,
+                           (np.cumsum(size) - size - first).astype(np.intp))
+    return bank
+
+
+def _looked_up(z, bits, pmap):
+    """``_quantized_sigmoid(z, bits, pmap)`` from the tables of ``_table_bank``, or None
+    for a budget whose grid holds more than 2^16 values or for a NaN in ``z``. Entry
+    k is z's grid index, rounded as ``quantize_all`` rounds: trunc(z 2^b +- 1/2),
+    ties away from zero, clipped to the table before the cast (which truncates).
+    Saturating z first would change no entry: the clip reaches the constant ends."""
+    top = int(bits.max(initial=0))
+    if pmap.weight_int_bits + top > _TABLE_BITS:
+        return None
+    values, first, last, offset = _table_bank(pmap, top)
+    pruned = bits == 0
+    n_pruned = np.count_nonzero(pruned)
+    b, zero = bits, None
+    if n_pruned + np.count_nonzero(bits == top) == bits.size:  # one live budget
+        b, zero = top, np.flatnonzero(pruned) if n_pruned else None
+    z = np.asarray(z, dtype=np.float64)
+    try:  # z 2^b may overflow to inf, which clips; only a NaN has no integer
+        with np.errstate(over="ignore", invalid="raise"):
+            k = np.multiply(z, np.ldexp(1.0, b))
+            k += np.copysign(0.5, z)
+            np.clip(k, first[b], last[b], out=k)
+            k = k.astype(np.intp)
+    except FloatingPointError:
+        return None
+    k += offset[b]
+    out = values.take(k)
+    if zero is not None:
+        out[..., zero] = 0.0
+    return out
+
+
 @dataclass
 class DdbnModel:
     layer_sizes: list               # [784, n1, ..., nL, 10]
@@ -255,13 +323,15 @@ class DdbnModel:
 
     def activation(self, layer, z, cols=slice(None)):
         """Sigmoid of the pre-activations ``z`` of hidden layer ``layer``'s
-        neurons ``cols``, each quantized under its neuron's budget."""
+        neurons ``cols``, each quantized under its neuron's budget. One value per Qm.b grid
+        point: a table read at z's index, rounded as ``quantize_all`` rounds, gives the
+        direct formula's bytes; that formula runs for m + b > 16 (over 2^16) or a NaN."""
         pmap = self.precision
         if pmap is None:
             return sigmoid(z)
         bits = pmap.hidden_frac_bits[layer][cols]
-        z = _quantize_columns(z, bits, pmap)
-        return _quantize_columns(sigmoid(z), bits, pmap, activation=True)
+        out = _looked_up(z, bits, pmap)
+        return _quantized_sigmoid(z, bits, pmap) if out is None else out
 
     def class_probs(self, h):
         """Softmax class probabilities given the top hidden layer."""
@@ -772,7 +842,9 @@ class CandidateEvaluator:
         model, n, top = self.model, len(self.labels), len(self.a)
         f = min(layer for layer, _ in pairs)
         outs, kept = [None] * len(pairs), []  # per point, the layer's activations
-        for layer in range(f, top):
+        if f < top - 1:  # layer f + 1 reads self.a[f] by its rank-1 terms, never outs
+            kept.append((self.z[f], self.a[f], [idx for at, idx in pairs if at == f]))
+        for layer in range(f + len(kept), top):
             # the points pruned below this layer: each starts a new input state
             starts, new = [i for i, (at, _) in enumerate(pairs) if at < layer], {}
             if layer == f + 1:
@@ -802,10 +874,14 @@ class CandidateEvaluator:
         errors = (pred.reshape(len(pairs), n) != self.labels).sum(axis=1)
         self.model, self._order = candidate, None
         for layer, (z, a, cols) in enumerate(kept, start=f):
-            if layer:  # whole arrays, no views into the stacked ones
-                z = z.copy()
+            # a view into a stack of points is copied, so that the stack can go; the
+            # other arrays are the cache's own or fresh, and are masked in place
+            z, a = (x.copy() if x is not None and x.base is not None
+                    and x.base.size > x.size else x for x in (z, a))
+            if layer:
                 z[:, cols] = 0.0
-            self.z[layer], self.a[layer] = z, a.copy()
+            a[:, cols] = 0.0
+            self.z[layer], self.a[layer] = z, a
         return [(n - int(e)) / n for e in errors]
 
 

@@ -8,6 +8,7 @@ import zlib
 
 import numpy as np
 import pytest
+from conftest import activation_format, weight_format
 
 from approxdbn import ddbn
 from approxdbn.criticality import criticality_scores
@@ -18,6 +19,7 @@ from approxdbn.ddbn import (
     TrainConfig,
     evaluate_accuracy,
     load_model,
+    quantize_all,
     retrain_quantized,
     save_model,
     sigmoid,
@@ -775,6 +777,129 @@ class TestQuantizedInference:
         _, p1 = pruned.classify(X)
         _, p2 = surgery.classify(X)
         np.testing.assert_array_equal(p1, p2)
+
+
+def quantized_sigmoid_oracle(z, bits, pmap):
+    """The activation of ``z`` column by column: quantized under column j's Qm.b,
+    1 / (1 + exp(-z)), then quantized under its Q0.a; one row for a 1-d ``z``."""
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    out = np.empty_like(z)
+    for j, b in enumerate(bits):
+        zq = quantize_all(z[:, j], *weight_format(pmap, b).bounds)
+        with np.errstate(over="ignore"):
+            s = 1.0 / (1.0 + np.exp(-zq))
+        out[:, j] = quantize_all(s, *activation_format(pmap, b).bounds)
+    return out
+
+
+def grid_and_half_steps(m, b):
+    """Every value of the Qm.b grid and every half-step between two of them (ties
+    of both signs), then +-0.0, values beyond +-2^(m-1) and +-inf."""
+    k = np.arange(-2.0 ** (m - 1 + b), 2.0 ** (m - 1 + b))
+    edge = 2.0 ** (m - 1)
+    return np.concatenate([k, k[:-1] + 0.5]) / 2.0 ** b, np.array(
+        [0.0, -0.0, edge, -edge - 0.5, 200.0, -200.0, 1e300, -1e300, np.inf, -np.inf])
+
+
+class TestTableActivation:
+    """Under a map whose Qm.b grids hold at most 2^16 values, ``activation`` looks
+    each quantized sigmoid up; the bytes must be the direct formula's."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_tables(self, monkeypatch):
+        monkeypatch.setattr(ddbn, "_tables", {})
+
+    @staticmethod
+    def _model(bits, activation_frac_bits=0, weight_int_bits=8):
+        model = DdbnModel.random_init([3, len(bits), 10], seed=0)
+        model.precision = PrecisionMap([np.array(bits)], 8, 8, weight_int_bits,
+                                       activation_frac_bits)
+        return model
+
+    @staticmethod
+    def _activation(model, z, cols=slice(None)):
+        """``model.activation(0, z, cols)`` and whether it took the direct path, which
+        quantizes; the tables it needs are built first."""
+        model.activation(0, z, cols)
+        calls, real = [], ddbn.quantize_all
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ddbn, "quantize_all", lambda *args: calls.append(1) or real(*args))
+            out = model.activation(0, z, cols)
+        return out, bool(calls)
+
+    def _assert_table_matches(self, model, z, cols=slice(None)):
+        out, direct = self._activation(model, z, cols)
+        bits = model.precision.hidden_frac_bits[0][cols]
+        assert not direct and out.shape == np.shape(z)
+        assert out.tobytes() == quantized_sigmoid_oracle(z, bits, model.precision).tobytes()
+
+    def test_every_grid_value_and_half_step(self):
+        """One table per (weight_int_bits, activation_frac_bits, budget): the keys
+        differ in activation_frac_bits alone, in one process."""
+        for a, b in itertools.product((0, 6), range(9)):
+            grid, extremes = grid_and_half_steps(8, b)
+            model = self._model([b], activation_frac_bits=a)
+            self._assert_table_matches(model, grid[:, None])
+            self._assert_table_matches(model, extremes[:, None])
+        assert sorted(ddbn._tables) == [(8, 0), (8, 6)]
+
+    @pytest.mark.parametrize("activation_frac_bits", [0, 6])
+    def test_mixed_budgets_pruned_columns_and_subsets(self, activation_frac_bits):
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 9, 40)
+        bits[[3, 17, 30]] = 0
+        model = self._model(bits, activation_frac_bits)
+        z = rng.normal(0.0, 6.0, (50, 40))
+        z[:10] = np.round(z[:10] * 2.0 ** bits) / 2.0 ** bits  # on their grids
+        z[10:20] = (np.floor(z[10:20] * 2.0 ** bits) + 0.5) / 2.0 ** bits  # ties
+        z[20, :10] = [0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 128.0, -129.0, 3e-9, -3e-9]
+        self._assert_table_matches(model, z)
+        for cols in (np.array([17, 2, 30, 2]), np.flatnonzero(bits == bits.max()),
+                     np.flatnonzero(bits == 0), np.array([], dtype=np.int64),
+                     slice(5, 25)):
+            self._assert_table_matches(model, z[:, cols], cols)
+        one = np.array([4])
+        self._assert_table_matches(model, z[0, one], one)  # one row, 1-d
+
+    @pytest.mark.parametrize("weight_int_bits,budget,direct", [
+        (8, 8, False), (8, 9, True), (7, 9, False), (8, 24, True)])
+    def test_grids_beyond_two_to_the_16_take_the_direct_path(self, weight_int_bits,
+                                                             budget, direct):
+        model = self._model([budget, 0, budget], weight_int_bits=weight_int_bits)
+        z = np.random.default_rng(1).normal(0.0, 8.0, (30, 3))
+        out, took_direct = self._activation(model, z)
+        assert took_direct is direct
+        assert out.tobytes() == quantized_sigmoid_oracle(
+            z, model.precision.hidden_frac_bits[0], model.precision).tobytes()
+
+    def test_wide_format_takes_the_direct_path(self):
+        model = self._model([56, 56, 0], activation_frac_bits=64)  # Q8.56, Q0.64
+        z = np.random.default_rng(2).normal(0.0, 8.0, (30, 3))
+        out, direct = self._activation(model, z)
+        assert direct and ddbn._tables == {}
+        assert out.tobytes() == quantized_sigmoid_oracle(
+            z, model.precision.hidden_frac_bits[0], model.precision).tobytes()
+
+    @pytest.mark.parametrize("bits", [[8, 0, 8], [5, 0, 8]])
+    def test_nan_never_returns_a_table_entry(self, bits):
+        """A NaN stays NaN in a live column and is +0.0 in a pruned one, as the direct
+        path gives; the rest of the call is unchanged."""
+        model = self._model(bits)
+        z = np.random.default_rng(3).normal(0.0, 4.0, (6, 3))
+        z[2] = np.nan
+        out, direct = self._activation(model, z)
+        assert direct
+        want = quantized_sigmoid_oracle(z, bits, model.precision)
+        assert np.isnan(out[2, [0, 2]]).all()
+        assert out[2, 1] == 0.0 and not np.signbit(out[2, 1])
+        np.testing.assert_array_equal(out, want)
+        assert np.delete(out, 2, axis=0).tobytes() == np.delete(want, 2, axis=0).tobytes()
+
+    def test_tables_keep_only_the_non_constant_middle(self):
+        self._model([8]).activation(0, np.zeros((1, 1)))
+        values, first, last, _ = ddbn._tables[(8, 0)]
+        assert len(first) == 9 and len(values) < 6000  # the grids hold 2^8 to 2^16
+        assert first[8] > -2.0 ** 15 and last[8] < 2.0 ** 15 - 1
 
 
 class TestSerialization:
