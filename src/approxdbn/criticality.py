@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .ddbn import _CHUNK, _exact_layers, check_finite
+from .ddbn import _BLOCK, _CHUNK, _DOUBLE, _SINGLE, _binary, _columns, _needs, check_finite
 
 
 class PlainLayer0:
@@ -20,19 +20,22 @@ class PlainLayer0:
     the layer-0 weights and bias of the model they came from, so that the next
     model recomputes only the columns whose weights or bias differ. Reuse is
     exact when every input is 0 or 1 and layer 0's sums are exact under the
-    model's map (``ddbn._exact_layers``), with the parameters on its grid: each
-    kept value is then the exact sum, whatever columns shared its product.
-    Phase 2 keeps one for its training images across criticality orders."""
+    model's map by the value rule (``ddbn._needs``: at most 53 bits), with the
+    parameters on its grid: each kept value is then the exact sum, whatever
+    columns shared its product. Within 24 bits the recomputed columns' products
+    run in float32, those columns cast once per call. Phase 2 keeps one for its
+    training images across criticality orders."""
 
     def __init__(self, inputs):
         self.inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        self.binary = bool(np.isin(self.inputs, (0.0, 1.0)).all())
+        self.binary = _binary(self.inputs)
         self.a = self.weights = self.bias = None
 
     def activations(self, model):
         """``model``'s plain layer-0 activations of the inputs, every row, or
         None, keeping nothing new, when reuse would not be exact."""
-        if not (self.binary and _exact_layers(model)[0]):
+        need = _needs(model)[0]
+        if not (self.binary and need <= _DOUBLE):
             return None
         w, b = model.weights[0], model.hidden_biases[0]
         if self.a is None or self.a.shape[1] != len(b):
@@ -41,9 +44,12 @@ class PlainLayer0:
             cols = np.flatnonzero((w != self.weights).any(axis=0) | (b != self.bias))
         if len(cols):
             plain = replace(model, precision=None)
-            for start in range(0, len(self.inputs), _CHUNK):
-                rows = slice(start, start + _CHUNK)
-                self.a[rows, cols] = plain.hidden_probs(0, self.inputs[rows], cols)
+            # pre_activation casts each block of inputs to these columns' precision:
+            # _BLOCK rows keep that copy small
+            part = _columns(w, cols).astype(np.float32 if need <= _SINGLE else np.float64)
+            for start in range(0, len(self.inputs), _BLOCK):
+                rows = slice(start, start + _BLOCK)
+                self.a[rows, cols] = plain.hidden_probs(0, self.inputs[rows], cols, part)
         self.weights, self.bias = w.copy(), b.copy()
         return self.a
 

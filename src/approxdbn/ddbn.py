@@ -24,6 +24,7 @@ MODEL_MAGIC = b"ADBN"
 MODEL_VERSION = 1
 _CHUNK = 2048  # rows per propagation step: classify, criticality
 _BLOCK = 256  # rows per step of an early-stopping walk
+_SINGLE, _DOUBLE = 24, 53  # significand bits of float32 and float64
 MOMENTUM = 0.5  # CD velocity decay
 
 
@@ -53,9 +54,9 @@ def softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def as_inputs(x, width, layer_name):
-    """``x`` as a float64 batch of rows; rejects rows not ``width`` wide."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+def as_inputs(x, width, layer_name, dtype=np.float64):
+    """``x`` as a batch of rows of ``dtype``; rejects rows not ``width`` wide."""
+    x = np.atleast_2d(np.asarray(x, dtype=dtype))
     if x.shape[1] != width:
         raise ValueError(
             f"{layer_name} expects inputs of size {width}, got {x.shape[1]}")
@@ -70,6 +71,12 @@ def check_finite(x, name):
         total = np.sum(x)
     if not np.isfinite(total) and not np.isfinite(x).all():
         raise ValueError(f"{name} must be finite: found NaN or infinity")
+
+
+def _binary(x):
+    """Whether every value of ``x`` is 0 or 1, tested ``_BLOCK`` rows at a time so
+    that the test's temporaries stay small."""
+    return all(np.isin(x[s:s + _BLOCK], (0.0, 1.0)).all() for s in range(0, len(x), _BLOCK))
 
 
 def integer_fields(obj, names, problem="must be an integer"):
@@ -310,16 +317,20 @@ class DdbnModel:
 
     # ---- inference -----------------------------------------------------
 
-    def hidden_probs(self, layer, v, cols=slice(None)):
+    def hidden_probs(self, layer, v, cols=slice(None), w=None):
         """Activation probabilities of hidden layer ``layer``'s neurons
         ``cols`` (default all) given the previous layer's values; applies
         the attached precision map to pre-activations and activations."""
-        return self.activation(layer, self.pre_activation(layer, v, cols), cols)
+        return self.activation(layer, self.pre_activation(layer, v, cols, w), cols)
 
-    def pre_activation(self, layer, v, cols=slice(None)):
-        """``v @ W + b`` of hidden layer ``layer``'s neurons ``cols``, unquantized."""
-        v = as_inputs(v, self.layer_sizes[layer], f"layer {layer}")
-        return v @ self.weights[layer][:, cols] + self.hidden_biases[layer][cols]
+    def pre_activation(self, layer, v, cols=slice(None), w=None):
+        """``v @ W + b`` of hidden layer ``layer``'s neurons ``cols``, unquantized. ``w``,
+        W's columns ``cols`` as the product reads them, defaults to the model's own; a
+        float32 copy (``_product_weights``) runs the product in float32 on ``v`` cast
+        to float32, and the float64 bias is added to its float64 value."""
+        w = self.weights[layer][:, cols] if w is None else w
+        v = as_inputs(v, self.layer_sizes[layer], f"layer {layer}", w.dtype)
+        return v @ w + self.hidden_biases[layer][cols]
 
     def activation(self, layer, z, cols=slice(None)):
         """Sigmoid of the pre-activations ``z`` of hidden layer ``layer``'s
@@ -333,10 +344,12 @@ class DdbnModel:
         out = _looked_up(z, bits, pmap)
         return _quantized_sigmoid(z, bits, pmap) if out is None else out
 
-    def class_probs(self, h):
-        """Softmax class probabilities given the top hidden layer."""
-        h = as_inputs(h, self.layer_sizes[-2], "class layer")
-        z = h @ self.class_weights + self.class_bias
+    def class_probs(self, h, w=None):
+        """Softmax class probabilities given the top hidden layer; ``w`` as in
+        ``pre_activation``, for the class weights."""
+        w = self.class_weights if w is None else w
+        h = as_inputs(h, self.layer_sizes[-2], "class layer", w.dtype)
+        z = h @ w + self.class_bias
         pmap = self.precision
         if pmap is None:
             return softmax(z)
@@ -360,12 +373,17 @@ class DdbnModel:
         mode ``_CHUNK`` images, stochastic mode ``_CHUNK // samples``
         images (at least one) with ``samples`` sampled rows each. Image i's
         samples still come from its own generator, seeded with (seed, i).
-        The result is byte-identical to a run one image at a time when float64
-        adds every layer's sums exactly (``_exact_layers``: a quantized model
-        on binary inputs, within 53 bits per sum). Otherwise, without a
-        precision map too, it can differ in the last bits, as the matrix
-        products of different row counts can."""
-        v = np.asarray(v, dtype=np.float64)
+        Each layer's products run in float32 where the value rule (``_needs``)
+        proves them exact there, on inputs on their grid: binary images at layer
+        0 (tested once per call), the quantized activations or sampled states of
+        the layer below above it; the weights are cast once per call. The result
+        is byte-identical to a run one image at a time when every sum is exact in
+        float64 (a quantized model on binary inputs, within 53 bits per sum by
+        the same rule). Otherwise, without a precision map too, it can differ in
+        the last bits, as the matrix products of different row counts can."""
+        v = np.asarray(v)
+        if v.dtype != np.float32:  # a float32 batch is kept: exact in float64 too
+            v = v.astype(np.float64, copy=False)
         check_finite(v, "images")
         single = v.ndim == 1
         v = np.atleast_2d(v)
@@ -373,37 +391,47 @@ class DdbnModel:
             raise ValueError(f"unknown inference mode {mode!r}")
         if mode == "stochastic" and samples < 1:
             raise ValueError("stochastic mode needs samples >= 1")
+        weights = _product_weights(self, _needs(self))
+        if not _binary(v):  # grayscale images: layer 0's sums in float64
+            weights[0] = self.weights[0]
         probs = np.empty((len(v), self.layer_sizes[-1]))
         step = _CHUNK if mode == "mean_field" else max(1, _CHUNK // samples)
         for start in range(0, len(v), step):
             rows = v[start:start + step]
             if mode == "mean_field":
-                probs[start:start + step] = self.class_probs(self.forward_hidden(rows)[-1])
+                for layer in range(self.num_hidden_layers):
+                    rows = self.hidden_probs(layer, rows, w=weights[layer])
+                probs[start:start + step] = self.class_probs(rows, weights[-1])
             else:
                 rngs = [np.random.default_rng(np.random.SeedSequence([seed, i]))
                         for i in range(start, start + len(rows))]
-                probs[start:start + step] = self._stochastic_probs(rows, samples, rngs)
+                probs[start:start + step] = self._stochastic_probs(rows, samples, rngs,
+                                                                   weights)
         pred = np.argmax(probs, axis=1)
         if single:
             return int(pred[0]), probs[0]
         return pred, probs
 
-    def _stochastic_probs(self, rows, samples, rngs):
+    def _stochastic_probs(self, rows, samples, rngs, weights=None):
         """Class probabilities of each row, averaged over ``samples``
         binary hidden states that row j draws from ``rngs[j]``: one call
         fills the row's uniforms, ``(samples, n_l)`` per hidden layer,
-        first layer first."""
+        first layer first. ``weights``, per layer as ``classify`` takes them
+        (default the model's own), set each product's precision; the states
+        are drawn straight into the next product's."""
+        if weights is None:
+            weights = [*self.weights, self.class_weights]
         u = np.empty((len(rngs), samples * sum(self.hidden_sizes)))
         for rng, row in zip(rngs, u):
             rng.random(out=row)
         h, start = rows, 0
         for layer, n in enumerate(self.hidden_sizes):
             # (images, 1 or samples, n_l)
-            a = self.hidden_probs(layer, h).reshape(len(rngs), -1, n)
+            a = self.hidden_probs(layer, h, w=weights[layer]).reshape(len(rngs), -1, n)
             drawn = u[:, start:start + samples * n].reshape(len(rngs), samples, n)
             start += samples * n
-            h = (drawn < a).astype(np.float64).reshape(-1, n)
-        return self.class_probs(h).reshape(len(rngs), samples, -1).mean(axis=1)
+            h = (drawn < a).astype(weights[layer + 1].dtype).reshape(-1, n)
+        return self.class_probs(h, weights[-1]).reshape(len(rngs), samples, -1).mean(axis=1)
 
     # ---- precision -----------------------------------------------------
 
@@ -486,19 +514,39 @@ def _requantize_layer(model, layer, cols=slice(None)):
         model.hidden_biases[layer] = _with_columns(hb, cols, qhb)
 
 
-def _exact_layers(model):
-    """Per layer, hidden then class, whether float64 adds its sums on binary
-    images exactly under the model's map, so that no sum depends on the order
-    of its terms or on the rows and columns sharing its product: Q0.a inputs
-    (images: 0) times Qm.b weights need m + a + b + ceil(log2 fan-in) <= 53.
-    All false without a map."""
+def _needs(model):
+    """Per layer, hidden then class, the bits its products need under the model's
+    map: the value rule. Its inputs lie in [0, 1] on the Q0.a grid (binary images:
+    a = 0; above, a is the largest activation bits of the layer below) and column
+    j's weights on the Qm.b_j grid, so each partial sum of column j is a whole number
+    of steps 2^-(a + b_j), at most sum_i |w_ij| 2^(a + b_j) of them. The need is the
+    bit length of the largest column's count, and at least a, the inputs' own: every
+    sum of a layer that needs at most 24 bits is exact in float32, and at most 53 in
+    float64, in any order of its terms. A need within 53 bits is exact; past it, the
+    float64 count may round up to a bit more. Infinite without a map or for weights
+    off their grid. A cut never raises a need: a weight moved to a coarser grid takes
+    round(k / 2^d) <= k steps where it took k, clipping only shrinks it, and the
+    layer below's activation bits do not grow."""
     pmap = model.precision
     if pmap is None:
-        return [False] * (model.num_hidden_layers + 1)
-    b = [int(bits.max()) for bits in pmap.hidden_frac_bits] + [pmap.class_frac_bits]
-    a = [0] + [pmap.activation_bits(n) for n in b[:-1]]
-    return [pmap.weight_int_bits + a_in + b_w + math.ceil(math.log2(size)) <= 53
-            for a_in, b_w, size in zip(a, b, model.layer_sizes)]
+        return [math.inf] * (model.num_hidden_layers + 1)
+    bits = [*pmap.hidden_frac_bits, pmap.class_frac_bits]
+    needs, a = [], 0
+    for w, b in zip([*model.weights, model.class_weights], bits):
+        steps = np.ldexp(np.abs(w), b)  # whole numbers on the grid
+        # exact below 2^53, and at least 2^53 when the exact sum is
+        total = steps.sum(axis=0).max(initial=0.0)
+        on_grid = np.array_equal(np.floor(steps), steps)
+        needs.append(max(a, int(np.frexp(np.ldexp(total, a))[1])) if on_grid else math.inf)
+        a = int(np.max(pmap.activation_bits(b)))
+    return needs
+
+
+def _product_weights(model, needs):
+    """Per layer, hidden then class, the weights its products read: a float32 copy
+    where ``needs`` fit float32's 24-bit significand, else the model's own."""
+    return [w.astype(np.float32) if need <= _SINGLE else w
+            for w, need in zip([*model.weights, model.class_weights], needs)]
 
 
 def _requantize_class(model):
@@ -695,46 +743,83 @@ def confusion_counts(model, images, labels, mode="mean_field",
 class CandidateEvaluator:
     """Mean-field accuracy of the accepted ``model`` under cuts of its map, maps
     that lower a few hidden budgets; ``cut`` commits one that meets its threshold.
-    A candidate requantizes only the columns whose budget changed. When float64
-    adds every layer's sums exactly, the accepted model's activations ``a[l]`` of
-    every hidden layer and, above layer 0, its pre-activations ``z[l]`` are kept.
-    A cut keeps the sums exact, so a candidate then recomputes its lowest changed
-    layer's changed columns, adds their change to the next layer's ``z`` and walks
-    the layers above in full. That walk takes the rows hardest first, ``_BLOCK`` at
-    a time, and under a threshold stops once it fails. ``prune`` commits a stack of
-    prunes in one pass. With nothing kept, a candidate is walked from the images by
-    ``classify``."""
+    A candidate requantizes only the columns whose budget changed. When every layer's
+    sums are exact in float64 on binary images (``_needs``: at most 53 bits), the
+    accepted model's activations ``a[l]`` of every hidden layer and, above layer 0,
+    its pre-activations ``z[l]`` are kept. A cut keeps the sums exact, so a candidate
+    then recomputes its lowest changed layer's changed columns, adds their change to
+    the next layer's ``z`` and walks the layers above in full. That walk takes the
+    rows hardest first, ``_BLOCK`` at a time, and under a threshold stops once it
+    fails. ``prune`` commits a stack of prunes in one pass. With nothing kept, a
+    candidate is walked from the images by ``classify``.
+
+    Binary images are held once, in float32. A layer whose need fits 24 bits runs
+    its products in float32, on float32 mirrors: ``w[l]`` of the accepted weights,
+    whose changed columns a commit recasts, and the kept activations it reads, held
+    in float32 alone. The other layers read float64 weights and activations."""
 
     def __init__(self, model, images, labels):
         if model.precision is None:
             raise ValueError("the evaluator needs a model with a precision map")
-        self.images = np.asarray(images, dtype=np.float64)
+        images = np.asarray(images, dtype=np.float64)
         self.labels = np.asarray(labels)
-        _check_eval_set(self.images, self.labels)
-        check_finite(self.images, "images")
-        self.binary = bool(np.isin(self.images, (0.0, 1.0)).all())
+        _check_eval_set(images, self.labels)
+        check_finite(images, "images")
+        self.binary = _binary(images)
+        self.images = images.astype(np.float32) if self.binary else images
         # candidates requantize only the columns they change, which needs the
         # accepted model on its grid; the identity if it already is
         self._keep(model.apply_precision(model.precision))
 
     def _keep(self, model):
-        """Accept ``model``, and keep every hidden layer if float64 adds every layer's
-        sums exactly (``_exact_layers``): no row's result then depends on its step."""
+        """Accept ``model`` with the product weights of its needs (``_needs``), and
+        keep every hidden layer if every layer's sums are exact in float64 on the
+        binary images: no row's result then depends on its step. A cut never raises
+        a need, so the needs of a kept model bound those of every later commit."""
         self.model, self._order, self.a, self.z = model, None, [], []
-        if self.binary and all(_exact_layers(model)):
+        needs = _needs(model)
+        self.w = _product_weights(model, needs)
+        if self.binary and max(needs) <= _DOUBLE:
+            v = self.images
             for layer in range(model.num_hidden_layers):
-                z = model.pre_activation(layer, self.a[-1] if layer else self.images)
+                z = model.pre_activation(layer, v, w=self.w[layer])
                 self.z.append(z if layer else None)  # layer 0's inputs never change
-                self.a.append(model.activation(layer, z))
+                # in the precision of the product that reads them
+                v = model.activation(layer, z).astype(self.w[layer + 1].dtype, copy=False)
+                self.a.append(v)
 
     def _hardest_first(self):
         """The accepted model's errors, then its correct rows by ascending margin."""
         if self._order is None:
-            p = self.model.class_probs(self.a[-1])
+            p = self.model.class_probs(self.a[-1], self.w[-1])
             truth = np.eye(p.shape[1], dtype=bool)[self.labels]
             margin = p[truth] - np.where(truth, -np.inf, p).max(axis=1)
             self._order = np.lexsort((margin, p.argmax(axis=1) == self.labels))
         return self._order
+
+    def _recast(self, candidate, changed, layers):
+        """``w`` of ``candidate`` for the hidden ``layers``: each float32 mirror whose
+        columns changed copied with them recast, or the candidate's float64 weights;
+        the other layers' are the accepted model's."""
+        ws = list(self.w)
+        for layer in layers:
+            if len(cols := changed[layer]):
+                w = candidate.weights[layer]
+                ws[layer] = (_with_columns(ws[layer], cols, _columns(w, cols))
+                             if ws[layer].dtype == np.float32 else w)
+        return ws
+
+    def _commit(self, candidate, changed):
+        """Make ``candidate`` the accepted model: each float32 mirror takes its changed
+        columns in place, a float64 layer the candidate's weights."""
+        for layer, cols in enumerate(changed):
+            if len(cols):
+                w = candidate.weights[layer]
+                if self.w[layer].dtype == np.float32:
+                    self.w[layer][:, cols] = _columns(w, cols)
+                else:
+                    self.w[layer] = w
+        self.model = candidate
 
     def _candidate(self, pmap):
         """The accepted model under ``pmap``, a cut of its map, and the neurons of
@@ -751,25 +836,32 @@ class CandidateEvaluator:
                 _requantize_layer(candidate, layer, cols)
         return candidate, changed
 
-    def _recompute(self, candidate, changed, f, rows, new):
+    def _recompute(self, candidate, changed, f, rows, new, ws, head):
         """The candidate's top hidden activations on ``rows``, from layer ``f`` up:
-        f's changed columns, layer f + 1 by the change in f, the rest in full. Writes
-        each layer's z and a (layer f: its changed columns) into ``new``."""
+        f's changed columns (their weights ``head``), layer f + 1 by the change in f
+        and its own changed columns, the rest in full, reading ``ws``. Writes each
+        layer's z (layer f: only above layer 0) and a (layer f: its changed columns)
+        into ``new``."""
         cols, below = changed[f], self.a[f - 1] if f else self.images
-        z = below[rows] @ candidate.weights[f][:, cols] + candidate.hidden_biases[f][cols]
+        x = below[rows].astype(head.dtype, copy=False)
+        z = x @ head + candidate.hidden_biases[f][cols]
         a = candidate.activation(f, z, cols)
-        new[0][0][rows], new[0][1][rows] = z, a
+        if f:
+            new[0][0][rows] = z
+        new[0][1][rows] = a
         v = np.array(self.a[f][rows])  # a copy, of a slice too
         delta = a - v[:, cols]
         v[:, cols] = a
         for layer in range(f + 1, len(self.a)):
+            w = ws[layer]
             if layer == f + 1:  # exact sums: the change in f, times the weights it met
-                z = self.z[layer][rows] + delta @ self.model.weights[layer][cols]
+                x = delta.astype(w.dtype, copy=False)
+                z = self.z[layer][rows] + x @ self.w[layer][cols]
                 if len(own := changed[layer]):
-                    z[:, own] = (v @ candidate.weights[layer][:, own]
-                                 + candidate.hidden_biases[layer][own])
+                    x = _columns(candidate.weights[layer], own).astype(w.dtype, copy=False)
+                    z[:, own] = v @ x + candidate.hidden_biases[layer][own]
             else:
-                z = candidate.pre_activation(layer, v)
+                z = candidate.pre_activation(layer, v, w=w)
             v = candidate.activation(layer, z)
             new[layer - f][0][rows], new[layer - f][1][rows] = z, v
         return v
@@ -792,16 +884,23 @@ class CandidateEvaluator:
         blocks = [order[s:s + _BLOCK] for s in range(0, n, _BLOCK)]
         top = len(self.a)
         f = next((layer for layer, cols in enumerate(changed) if len(cols)), top)
-        widths = [len(changed[f])] + candidate.layer_sizes[f + 2:top + 1] if f < top else []
-        new = [(np.empty((n, k)), np.empty((n, k))) for k in widths]
+        # layers f and f + 1 read only their changed columns of the candidate
+        ws = self._recast(candidate, changed, range(f + 2, top))
+        if f < top:
+            head = _columns(candidate.weights[f], changed[f])
+            head = head.astype(ws[f].dtype, copy=False)
+            widths = [len(changed[f])] + candidate.layer_sizes[f + 2:top + 1]
+            new = [(np.empty((n, k)) if layer else None,  # layer 0 keeps no z
+                    np.empty((n, k), self.a[layer].dtype))
+                   for layer, k in enumerate(widths, start=f)]
         for rows in blocks:  # slices, or gathers: no permuted copy of the images
-            v = (self._recompute(candidate, changed, f, rows, new) if f < top
+            v = (self._recompute(candidate, changed, f, rows, new, ws, head) if f < top
                  else self.a[-1][rows])
-            pred = candidate.class_probs(v).argmax(axis=1)
+            pred = candidate.class_probs(v, ws[-1]).argmax(axis=1)
             errors += int((pred != self.labels[rows]).sum())
             if (n - errors) / n < threshold:  # Phase 2's test, whatever the rest give
                 return (n - errors) / n
-        self.model = candidate
+        self._commit(candidate, changed)
         if f < top:  # a new order, layer f's changed columns, the layers above
             self._order, (z, a) = None, new[0]
             self.a[f][:, changed[f]] = a
@@ -838,7 +937,7 @@ class CandidateEvaluator:
                 accuracies.append(self.cut(pmap))
         if not cached or not pairs:
             return accuracies
-        candidate, _ = self._candidate(pmap)
+        candidate, changed = self._candidate(pmap)
         model, n, top = self.model, len(self.labels), len(self.a)
         f = min(layer for layer, _ in pairs)
         outs, kept = [None] * len(pairs), []  # per point, the layer's activations
@@ -855,7 +954,8 @@ class CandidateEvaluator:
                     zs.append(z)
             elif starts:
                 zs = np.split(model.pre_activation(
-                    layer, np.concatenate([outs[i] for i in starts])), len(starts))
+                    layer, np.concatenate([outs[i] for i in starts]), w=self.w[layer]),
+                    len(starts))
             if starts:
                 states = np.split(model.activation(layer, np.concatenate(zs)), len(zs))
                 new = dict(zip(starts, zip(zs, states)))
@@ -870,10 +970,13 @@ class CandidateEvaluator:
                     a[:, cols] = 0.0
                 outs[i] = a
             kept.append((z, a, cols))
-        pred = candidate.class_probs(np.concatenate(outs)).argmax(axis=1)
+        pred = candidate.class_probs(np.concatenate(outs), self.w[-1]).argmax(axis=1)
         errors = (pred.reshape(len(pairs), n) != self.labels).sum(axis=1)
-        self.model, self._order = candidate, None
+        self._commit(candidate, changed)
+        self._order = None
         for layer, (z, a, cols) in enumerate(kept, start=f):
+            if a.dtype != self.a[layer].dtype:  # fresh float64 for a float32 cache
+                a = a.astype(self.a[layer].dtype)
             # a view into a stack of points is copied, so that the stack can go; the
             # other arrays are the cache's own or fresh, and are masked in place
             z, a = (x.copy() if x is not None and x.base is not None

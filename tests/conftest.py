@@ -123,3 +123,20 @@ def brute_force_quantize(xs, fmt):
     grid = grid[order]  # descending |v|: first argmin wins ties away from 0
     idx = np.argmin(np.abs(grid[None, :] - xs[:, None]), axis=1)
     return grid[idx]
+
+
+BOUNDARY_BITS = 46  # the uniform budget of boundary_model's map
+
+
+def boundary_model(layer_sizes, need, seed=0):
+    """A model on a uniform 46-bit map whose layer 0 needs ``need`` bits, 53 or 54, by
+    the value rule (``ddbn._needs``) on binary images: its random weights of about
+    2^-12 need at most 45, and column 0 holds 128 - 2^-46 (2^53 - 1 steps of 2^-46),
+    twice for 54 bits. Layer 1 needs 46 + 46 bits and more."""
+    from approxdbn.ddbn import DdbnModel, PrecisionMap
+
+    model = DdbnModel.random_init(layer_sizes, seed=seed, scale=2.0 ** -12)
+    top = 128 - 2.0 ** -BOUNDARY_BITS
+    model.weights[0][:, 0] = 0.0
+    model.weights[0][:need - 52, 0] = top
+    return model.apply_precision(PrecisionMap.uniform(layer_sizes[1:-1], BOUNDARY_BITS))

@@ -52,9 +52,10 @@ def _changed_tree(path, old='print(f"wrote {len(curves)}', new='print(f"Wrote {l
 def test_changed_output_is_caught(tool, tmp_path):
     changed = _changed_tree(tmp_path / "changed")
     diffs = tool.compare(ROOT, changed, _tiny(tool), 1, tmp_path / "work")
-    # curve_test and curve_wide run the same command on other rows and budgets, so
-    # they print the line too
+    # curve_float64, curve_test and curve_wide run the same command on other
+    # budgets or rows, so they print the line too
     assert [d.split(" (")[0] for d in diffs] == ["differs: stdout:curve",
+                                                 "differs: stdout:curve_float64",
                                                  "differs: stdout:curve_test",
                                                  "differs: stdout:curve_wide"]
 
@@ -87,4 +88,4 @@ def test_several_seeds(tool, tmp_path, monkeypatch, capsys):
     assert tool.main([str(ROOT), str(_changed_tree(tmp_path / "changed")), *argv]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if " seed " in line] == [
-        "retrain seed 1: 3 problems", "retrain seed 7: 3 problems"]
+        "retrain seed 1: 4 problems", "retrain seed 7: 4 problems"]

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import boundary_model
 
 from approxdbn.criticality import (
     PlainLayer0,
@@ -263,8 +264,8 @@ def _cells_at_layer0(monkeypatch):
     """A list that grows by rows x columns of each ``pre_activation(0, ...)`` call."""
     cells, pre_activation = [], DdbnModel.pre_activation
 
-    def counting(model, layer, v, cols=slice(None)):
-        out = pre_activation(model, layer, v, cols)
+    def counting(model, layer, v, cols=slice(None), w=None):
+        out = pre_activation(model, layer, v, cols, w)
         if layer == 0:
             cells.append(out.size)
         return out
@@ -327,22 +328,23 @@ class TestPlainLayer0:
         ("binary", True),
         ("grayscale", False),
         ("no_map", False),
-        ("budget_35", True),    # layer 0: 8 + 35 + ceil(log2 784) = 53 bits
-        ("budget_36", False),
+        ("need_53", True),    # layer 0's values at the value rule's bound
+        ("need_54", False),
     ])
     def test_every_column_unless_exact(self, monkeypatch, case, reused):
-        """Grayscale inputs, a model without a map and a layer-0 budget past
-        the exact bound recompute every column of every order."""
+        """Grayscale inputs, a model without a map and a layer 0 whose values need
+        more than float64's 53 bits recompute every column of every order."""
         rng = np.random.default_rng(22)
-        width = 784 if case.startswith("budget") else 16
+        width = 784 if case.startswith("need") else 16
         X = rng.random((30, width))
         if case != "grayscale":
             X = (X > 0.5).astype(float)
         T = np.eye(10)[rng.integers(0, 10, len(X))]
         model = random_model([width, 5, 4, 10], seed=22)
-        if case != "no_map":
-            budget = int(case[-2:]) if case.startswith("budget") else 6
-            model = model.apply_precision(PrecisionMap.uniform([5, 4], budget))
+        if case.startswith("need"):
+            model = boundary_model([width, 5, 4, 10], int(case[-2:]), seed=22)
+        elif case != "no_map":
+            model = model.apply_precision(PrecisionMap.uniform([5, 4], 6))
         layer0 = PlainLayer0(X)
         cells = _cells_at_layer0(monkeypatch)
         _assert_kept_scores(model, X, T, layer0, cells, 5)

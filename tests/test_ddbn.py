@@ -9,6 +9,8 @@ import zlib
 import numpy as np
 import pytest
 from conftest import activation_format, weight_format
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from approxdbn import ddbn
 from approxdbn.criticality import criticality_scores
@@ -900,6 +902,118 @@ class TestTableActivation:
         values, first, last, _ = ddbn._tables[(8, 0)]
         assert len(first) == 9 and len(values) < 6000  # the grids hold 2^8 to 2^16
         assert first[8] > -2.0 ** 15 and last[8] < 2.0 ** 15 - 1
+
+
+def _model_needing(need, layer, bits, afb, rng):
+    """A model on a uniform ``bits``-bit map with Q0.``afb`` activations (``afb`` 0:
+    the budget's), and inputs of hidden layer ``layer`` on their grid: binary
+    images at layer 0, Q0.afb values in [0, 1] above. Its weights are whole steps
+    2^-bits; column 0 of ``layer`` sums to a count of steps of 2^-(a + bits) whose
+    bit length is ``need`` (its largest or its smallest), its other columns to
+    fewer, and hidden neurons 1 and 2 have bias +0.0, so that a row of zeros gives
+    zero sums, of -0.0 terms under neuron 2's negative weights."""
+    sizes = [*rng.integers(40, 80, 2).tolist(), 5, 10]  # fan-ins of 40 or more
+    model = DdbnModel.random_init(sizes, seed=int(rng.integers(2 ** 16)), scale=0.0)
+    a = afb if layer else 0
+    top = 2 ** (7 + bits)  # a weight takes fewer than 2^(7 + bits) steps
+    for lay in range(2):
+        n_in, n_out = sizes[lay], sizes[lay + 1]
+        steps = rng.integers(-8, 9, (n_in, n_out))
+        steps[:, 2] = -rng.integers(1, 9, n_in)  # every weight negative
+        if lay == layer:
+            total = 2 ** (need - a) - 1 if rng.random() < 0.5 else 2 ** (need - a - 1)
+            share = np.full(n_in, total // n_in)
+            share[:total % n_in] += 1
+            assert share.max() < top and (total << a).bit_length() == need
+            steps[:, 0] = share * rng.choice([-1, 1], n_in)
+        model.weights[lay] = np.ldexp(steps.astype(float), -bits)
+        bias = rng.integers(-top, top, n_out).astype(float)
+        model.hidden_biases[lay] = np.ldexp(bias, -bits)
+        model.hidden_biases[lay][1:3] = 0.0
+    model.precision = PrecisionMap.uniform(sizes[1:-1], bits, afb)
+    x = (rng.random((30, sizes[layer])) > 0.5).astype(float)
+    if layer:
+        x = np.ldexp(rng.integers(0, 2 ** afb + 1, x.shape).astype(float), -afb)
+    x[0] = 0.0  # zero sums
+    return model, x
+
+
+class TestFloat32Products:
+    """Where the value rule (``_needs``) proves a layer's sums exact in float32, its
+    products run in float32 and every byte of z equals the float64 product's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), need=st.integers(22, 25),
+           layer=st.integers(0, 1), bits=st.integers(14, 20), afb=st.integers(1, 4))
+    def test_sums_within_24_bits_match_float64_bytes(self, seed, need, layer, bits, afb):
+        """On-grid layers whose worst column needs 22 to 24 bits take float32, and
+        z equals the float64 product byte for byte, zeros as +0.0; at 25 bits the
+        layer takes float64."""
+        model, x = _model_needing(need, layer, bits, afb, np.random.default_rng(seed))
+        assert model.apply_precision(model.precision).weights[layer].tobytes() == \
+            model.weights[layer].tobytes()  # on the grid
+        assert ddbn._needs(model)[layer] == need
+        w = ddbn._product_weights(model, ddbn._needs(model))[layer]
+        assert w.dtype == (np.float32 if need <= 24 else np.float64)
+        z = model.pre_activation(layer, x, w=w)
+        expected = x @ model.weights[layer] + model.hidden_biases[layer]
+        assert z.dtype == np.float64 and z.tobytes() == expected.tobytes()
+        assert not np.signbit(z[0, 1:3]).any() and not z[0, 1:3].any()
+
+    def test_25_bits_would_differ_in_float32(self):
+        """Two weights of 2^24 - 1 and 2 steps of 2^-17 sum to 2^24 + 1 steps, which
+        float32 rounds to 2^24: the rule sends that layer to float64."""
+        model = DdbnModel.random_init([2, 1, 1, 10], seed=0, scale=0.0)
+        model.weights[0][:, 0] = np.ldexp([2.0 ** 24 - 1, 2.0], -17)
+        model.precision = PrecisionMap.uniform([1, 1], 17)
+        x = np.ones((1, 2))
+        assert ddbn._needs(model)[0] == 25
+        w = ddbn._product_weights(model, ddbn._needs(model))[0]
+        assert w is model.weights[0]
+        assert model.pre_activation(0, x, w=w)[0, 0] == np.ldexp(2.0 ** 24 + 1, -17)
+        forced = model.pre_activation(0, x, w=w.astype(np.float32))
+        assert forced[0, 0] == np.ldexp(2.0 ** 24, -17)  # what float32 would give
+
+    def test_weights_off_their_grid_need_float64(self):
+        """The rule counts steps of the map's grid: a weight between two steps, or a
+        model without a map, has no need within 53 bits, and its products keep
+        float64."""
+        model = DdbnModel.random_init([8, 3, 2, 10], seed=1, scale=1.0)
+        assert ddbn._needs(model) == [math.inf] * 3
+        model = model.apply_precision(PrecisionMap.uniform([3, 2], 6))
+        assert max(ddbn._needs(model)) <= 24
+        model.weights[1][0, 1] += 2.0 ** -20
+        assert ddbn._needs(model)[1] == math.inf
+        assert ddbn._product_weights(model, ddbn._needs(model))[1] is model.weights[1]
+
+    @pytest.mark.parametrize("mode", ["mean_field", "stochastic"])
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_classify_reads_float32_only_on_binary_images(self, monkeypatch, mode, binary):
+        """Under a map whose every layer needs at most 24 bits, ``classify`` runs
+        layer 0 in float32 on binary images and in float64 on grayscale ones, and
+        every layer above, and the class layer, in float32."""
+        rng = np.random.default_rng(4)
+        model = DdbnModel.random_init([12, 6, 5, 10], seed=4, scale=1.0)
+        model = model.apply_precision(PrecisionMap.uniform([6, 5], 4))
+        assert max(ddbn._needs(model)) <= 24
+        X = rng.random((50, 12))
+        X = (X > 0.5).astype(float) if binary else X
+        seen = []
+        pre_activation, class_probs = DdbnModel.pre_activation, DdbnModel.class_probs
+
+        def spy(m, layer, v, cols=slice(None), w=None):
+            seen.append((layer, w.dtype))
+            return pre_activation(m, layer, v, cols, w)
+
+        def class_spy(m, h, w=None):
+            seen.append(("class", w.dtype))
+            return class_probs(m, h, w)
+
+        monkeypatch.setattr(DdbnModel, "pre_activation", spy)
+        monkeypatch.setattr(DdbnModel, "class_probs", class_spy)
+        model.classify(X, mode, samples=3)
+        assert seen == [(0, np.float32 if binary else np.float64), (1, np.float32),
+                        ("class", np.float32)]
 
 
 class TestSerialization:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from conftest import boundary_model
 
 from approxdbn import ddbn, search
 from approxdbn.ddbn import (
@@ -293,15 +294,17 @@ def _curve_by_cuts(model, cfg, X, T, eval_images, eval_labels, order, seed):
     (80, 3, [1] * 18),                   # 80 rows a stack: stacks of one
     (80 * 4 + 79, 3, [4] * 4 + [2]),     # several, the last one partial
     (2048, 3, [18]),                     # every point in one stack
-    (80 * 5, 24, [5] * 3 + [3]),         # inexact: no cache, a cut per point
+    (80 * 5, 24, [5] * 3 + [3]),         # float64 products: 51 bits at layer 1
+    (80 * 5, 26, [5] * 3 + [3]),         # inexact: no cache, a cut per point
 ])
 def test_stacked_curve_matches_per_point_cuts(monkeypatch, order, chunk, frac_bits,
                                              stacks):
     """``approximation_curve`` takes ``_CHUNK // rows`` points a pass, and equals
     the per-point ``cut`` loop byte for byte, on three hidden layers whose stacks
     prune neurons of several layers; after every pass the evaluator's cache equals
-    a fresh one of the committed model. At 24 bits layer 1's sums are not exact
-    (8 + 24 + 24 + 3 bits), so the first passes have no cache."""
+    a fresh one of the committed model. At 3 bits every product runs in float32, at
+    24 bits layers 1 to 3 need 51 bits and run in float64, and at 26 bits they need
+    55, more than float64's 53, so the first passes have no cache."""
     rng = np.random.default_rng(2)
     hidden = [7, 6, 5]
     model = _random_model([16, *hidden, 10], rng)
@@ -324,13 +327,13 @@ def test_stacked_curve_matches_per_point_cuts(monkeypatch, order, chunk, frac_bi
     assert curve.tobytes() == expected.tobytes()
     assert [k for k, _, _ in seen] == stacks
     assert (max(layers for _, layers, _ in seen) > 1) == (max(stacks) > 1)
-    assert seen[0][2] == (frac_bits == 3)
+    assert seen[0][2] == (frac_bits <= 24)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 16),
        hidden=st.lists(st.integers(1, 6), min_size=1, max_size=3),
-       frac_bits=st.sampled_from([1, 3, 8, 24]),
+       frac_bits=st.sampled_from([1, 3, 8, 24, 28]),
        stacks=st.lists(st.integers(0, 6), min_size=1, max_size=5))
 def test_prune_matches_per_point_cuts(seed, hidden, frac_bits, stacks):
     """From a mixed-budget map with some neurons pruned already, each ``prune`` of a
@@ -380,10 +383,10 @@ def _rows_at_layer0(monkeypatch):
     """A list that grows by the row count of each ``hidden_probs(0, ...)`` call."""
     rows, hidden_probs = [], DdbnModel.hidden_probs
 
-    def counting(model, layer, v, cols=slice(None)):
+    def counting(model, layer, v, cols=slice(None), w=None):
         if layer == 0:
             rows.append(len(v))
-        return hidden_probs(model, layer, v, cols)
+        return hidden_probs(model, layer, v, cols, w)
 
     monkeypatch.setattr(DdbnModel, "hidden_probs", counting)
     return rows
@@ -392,17 +395,17 @@ def _rows_at_layer0(monkeypatch):
 @pytest.mark.parametrize("case,exact0", [
     ("binary", True),
     ("grayscale", False),
-    ("budget_35", True),    # layer 0: 8 + 35 + ceil(log2 784) = 53 bits
-    ("budget_36", False),
+    ("need_53", True),    # layer 0 at the value rule's bound
+    ("need_54", False),
     ("no_map", False),
 ])
 def test_candidate_evaluator_fallback(monkeypatch, case, exact0):
     """Only a model whose every layer is exact keeps its hidden layers; with
     nothing kept, each of two successive cuts is walked from the images. An exact
-    layer 0 (``exact0``) is not enough: budget_35's layer 1 needs 8 + 35 + 35 + 3
-    bits. A model without a map has no cuts: the evaluator rejects it."""
+    layer 0 (``exact0``) is not enough: need_53's layer 1 needs 46 + 46 bits and
+    more. A model without a map has no cuts: the evaluator rejects it."""
     rng = np.random.default_rng(3)
-    width = 784 if case.startswith("budget") else 16
+    width = 784 if case.startswith("need") else 16
     model = _random_model([width, 5, 4, 10], rng)
     X = rng.random((40, width))
     if case != "grayscale":
@@ -412,8 +415,12 @@ def test_candidate_evaluator_fallback(monkeypatch, case, exact0):
         with pytest.raises(ValueError, match="precision map"):
             CandidateEvaluator(model, X, y)
         return
-    pmap = PrecisionMap.uniform([5, 4], int(case[-2:]) if width == 784 else 6)
-    accepted = model.apply_precision(pmap)
+    if case.startswith("need"):
+        accepted = boundary_model([width, 5, 4, 10], int(case[-2:]))
+        assert ddbn._needs(accepted)[0] == int(case[-2:])
+    else:
+        accepted = model.apply_precision(PrecisionMap.uniform([5, 4], 6))
+    pmap = accepted.precision
     maps = [_cut(pmap, rng, 1, 2)]
     maps.append(_cut(maps[0], rng, 3, 2))
     expected, candidate = [], accepted
@@ -436,20 +443,124 @@ def test_candidate_evaluator_fallback(monkeypatch, case, exact0):
     assert _exact(evaluator, accepted.apply_precision(pruned)) == exact0
 
 
+@pytest.mark.parametrize("bits", [20, 26, 27, 35])
+def test_wide_map_keeps_the_cache_where_its_values_fit(bits):
+    """A 20- to 35-bit map on 784-100-50-10 fails the old format rule, 8 + a + b +
+    ceil(log2 fan-in) <= 53 (layer 1: 55 to 85 bits), and so lost the cache. By the
+    value rule, weights of about 0.01 need about 2 b - 1 bits at layers 1 and 2: up
+    to 26 bits the map keeps the cache, and its cuts and prunes still equal
+    ``evaluate_accuracy`` of the requantized model."""
+    rng = np.random.default_rng(5)
+    model = DdbnModel.random_init([784, 100, 50, 10], seed=5, scale=0.01)
+    X = (rng.random((64, 784)) > 0.5).astype(float)
+    y = rng.integers(0, 10, len(X))
+    pmap = PrecisionMap.uniform([100, 50], bits)
+    accepted = model.apply_precision(pmap)
+    assert (max(ddbn._needs(accepted)) <= 53) == (bits <= 26)
+    evaluator = CandidateEvaluator(accepted, X, y)
+    assert len(evaluator.a) == (2 if bits <= 26 else 0)
+    pmap = _cut(pmap, rng, 30, 3)
+    assert evaluator.cut(pmap) == evaluate_accuracy(accepted.apply_precision(pmap), X, y)
+    _assert_cache_fresh(evaluator, X)
+    accuracies = evaluator.prune([(1, 3), (0, 7)])
+    for layer, idx in [(1, 3), (0, 7)]:
+        pmap.hidden_frac_bits[layer][idx] = 0
+    assert accuracies[-1] == evaluate_accuracy(accepted.apply_precision(pmap), X, y)
+    _assert_cache_fresh(evaluator, X)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), bits=st.integers(1, 40), cuts=st.integers(1, 40),
+       afb=st.sampled_from([0, 3]))
+def test_a_cut_never_raises_a_need(seed, bits, cuts, afb):
+    """A weight requantized to a coarser grid may grow by half its new step, yet it
+    takes no more steps of that grid than it took of the old, and the layer below's
+    activation bits do not grow: no layer of a cut needs more bits (``_needs``)
+    than the accepted model, so the evaluator checks the needs only of a model it
+    keeps whole."""
+    rng = np.random.default_rng(seed)
+    model = _random_model([16, 6, 5, 10], rng)
+    pmap = _cut(PrecisionMap.uniform([6, 5], bits, afb), rng, 4, 3)
+    accepted = model.apply_precision(pmap)
+    candidate = accepted.apply_precision(_cut(pmap, rng, 5, cuts))
+    assert all(new <= old for new, old
+               in zip(ddbn._needs(candidate), ddbn._needs(accepted)))
+
+
+def test_cut_that_rounds_weights_up_stays_in_float32():
+    """Layer 0 needs exactly float32's 24 bits: column 0 holds 2^24 - 1 steps of
+    2^-17, mostly odd counts, which a 1-bit cut rounds up, ties away from zero.
+    Those weights grow by half a step of the new grid, but the column's count of
+    its steps halves, so the layer keeps its float32 products, and ``cut`` and
+    ``prune`` give ``apply_precision`` and ``classify``'s accuracies and class
+    probabilities byte for byte."""
+    rng = np.random.default_rng(9)
+    model = _random_model([16, 6, 5, 10], rng)
+    steps = np.full(16, (2 ** 24 - 1) // 16)  # odd, with one more in the first row
+    steps[0] += (2 ** 24 - 1) % 16
+    model.weights[0] = np.ldexp(np.round(np.ldexp(model.weights[0], 6)), -6)
+    model.weights[0][:, 0] = np.ldexp(steps * rng.choice([-1.0, 1.0], 16), -17)
+    pmap = PrecisionMap.uniform([6, 5], 17)
+    accepted = model.apply_precision(pmap)
+    assert ddbn._needs(accepted)[0] == 24
+    X = (rng.random((300, 16)) > 0.5).astype(float)
+    y = rng.integers(0, 10, len(X))
+    evaluator = CandidateEvaluator(accepted, X, y)
+    assert evaluator.w[0].dtype == np.float32
+    cut = pmap.copy()
+    cut.hidden_frac_bits[0][[0, 3]] = 16
+    candidate = accepted.apply_precision(cut)
+    grew = np.abs(candidate.weights[0][:, 0]) > np.abs(accepted.weights[0][:, 0])
+    assert grew.sum() >= 15 and ddbn._needs(candidate)[0] <= 24
+    for evaluate in (lambda: evaluator.cut(cut), lambda: evaluator.prune([(0, 5)])[-1]):
+        accuracy = evaluate()
+        current = evaluator.model
+        assert accuracy == evaluate_accuracy(current, X, y)
+        assert evaluator.w[0].dtype == np.float32
+        assert (current.class_probs(evaluator.a[-1]).tobytes()
+                == current.classify(X)[1].tobytes())
+        _assert_cache_fresh(evaluator, X)
+    assert evaluator.model.precision.hidden_frac_bits[0].tolist() == [16, 17, 17, 16, 17, 0]
+
+
+def test_need_counts_the_bits_of_the_inputs():
+    """Layer 1 and the class layer have zero weights, so their sums are zero, yet
+    their Q0.30 inputs need 30 bits, past float32's 24: the evaluator keeps those
+    activations in float64, exactly."""
+    rng = np.random.default_rng(6)
+    model = _random_model([16, 6, 5, 10], rng)
+    model.weights[1][:] = 0.0
+    model.class_weights[:] = 0.0
+    accepted = model.apply_precision(PrecisionMap.uniform([6, 5], 8, 30))
+    assert ddbn._needs(accepted)[1:] == [30, 30]
+    X = (rng.random((50, 16)) > 0.5).astype(float)
+    evaluator = CandidateEvaluator(accepted, X, rng.integers(0, 10, len(X)))
+    assert [a.dtype for a in evaluator.a] == [np.float64, np.float64]
+    _assert_cache_fresh(evaluator, X)
+
+
 def _exact(evaluator, model):
     """Whether the evaluator keeps every hidden layer of ``model`` once accepted."""
-    return evaluator.binary and all(ddbn._exact_layers(model))
+    return evaluator.binary and max(ddbn._needs(model)) <= 53
 
 
 def _assert_cache_fresh(evaluator, X):
     """The evaluator keeps every hidden layer when the accepted model is exact and
-    none otherwise, and each cached activation ``a[l]`` and pre-activation ``z[l]``
-    byte-equals a fresh pass of the accepted model."""
+    none otherwise; each cached activation ``a[l]`` and pre-activation ``z[l]``
+    equals a fresh pass of the accepted model byte for byte, ``a[l]`` as float64 in
+    the precision of the product above it; each of its product weights ``w[l]``
+    equals the model's, in float32 only where that layer needs at most 24 bits."""
     model = evaluator.model
     fresh = model.forward_hidden(X)
     assert len(evaluator.a) == (model.num_hidden_layers if _exact(evaluator, model) else 0)
+    needs = ddbn._needs(model)
+    weights = [*model.weights, model.class_weights]
+    for layer, w in enumerate(evaluator.w):
+        assert w.dtype == np.float64 or needs[layer] <= 24
+        assert np.array_equal(w, weights[layer])
     for layer, a in enumerate(evaluator.a):
-        assert a.tobytes() == fresh[layer].tobytes()
+        assert a.dtype == evaluator.w[layer + 1].dtype
+        assert a.astype(np.float64).tobytes() == fresh[layer].tobytes()
         if layer:
             z = fresh[layer - 1] @ model.weights[layer] + model.hidden_biases[layer]
             assert evaluator.z[layer].tobytes() == z.tobytes()
@@ -483,10 +594,10 @@ def test_early_rejection_rows_walked(monkeypatch, activation_frac_bits, early):
     evaluator = CandidateEvaluator(accepted, X, y)
     walked, class_probs = [], DdbnModel.class_probs
 
-    def counting(model, h):
+    def counting(model, h, w=None):
         if model is not evaluator.model:  # the candidate's rows
             walked.append(len(h))
-        return class_probs(model, h)
+        return class_probs(model, h, w)
 
     monkeypatch.setattr(DdbnModel, "class_probs", counting)
     monkeypatch.setattr(ddbn, "evaluate_accuracy", None)  # no full-pass fallback
@@ -532,28 +643,29 @@ def test_accepted_exact_cut_keeps_every_layer(monkeypatch):
     model = _random_model([784, 5, 4, 10], rng)
     X = (rng.random((40, 784)) > 0.5).astype(float)
     y = rng.integers(0, 10, len(X))
-    pmap = PrecisionMap.uniform([5, 4], 36)  # layer 0: 8 + 36 + 10 bits
+    pmap = PrecisionMap.uniform([5, 4], 36)  # layers 1 and 2 need 75 bits
     evaluator = CandidateEvaluator(model.apply_precision(pmap), X, y)
     assert evaluator.a == []
-    hidden_8, hidden_4 = pmap.copy(), pmap.copy()
-    for bits in hidden_8.hidden_frac_bits:
-        bits[:] = 8   # the class layer: 8 + 8 + 36 + 2 bits
-    for bits in hidden_4.hidden_frac_bits:
-        bits[:] = 4   # the class layer: 8 + 4 + 36 + 2 bits
-    raised = hidden_4.copy()
+    hidden_15, hidden_14 = pmap.copy(), pmap.copy()
+    for bits in hidden_15.hidden_frac_bits:
+        bits[:] = 15  # the class layer needs 54 bits
+    for bits in hidden_14.hidden_frac_bits:
+        bits[:] = 14  # and here 53
+    raised = hidden_14.copy()
     raised.hidden_frac_bits[0][2] = 40
     rows = _rows_at_layer0(monkeypatch)
-    for pmap_next, kept in ((hidden_8, 0), (hidden_4, 2)):
+    for pmap_next, kept in ((hidden_15, 0), (hidden_14, 2)):
         expected = evaluate_accuracy(evaluator.model.apply_precision(pmap_next), X, y)
         rows.clear()
         assert evaluator.cut(pmap_next) == expected
         assert rows == [len(X)]  # each is walked from the images
+        assert ddbn._needs(evaluator.model)[-1] == (54 if kept == 0 else 53)
         assert len(evaluator.a) == kept
         _assert_cache_fresh(evaluator, X)
     with pytest.raises(ValueError, match="increase"):
         evaluator.cut(raised)
     assert all(map(np.array_equal, evaluator.model.precision.hidden_frac_bits,
-                   hidden_4.hidden_frac_bits))
+                   hidden_14.hidden_frac_bits))
     _assert_cache_fresh(evaluator, X)
 
 
@@ -724,8 +836,8 @@ def test_top_layer_candidate_recomputes_only_its_columns(monkeypatch):
     def spy(name):
         real = getattr(DdbnModel, name)
 
-        def wrapper(model, layer, v, cols=slice(None)):
-            out = real(model, layer, v, cols)
+        def wrapper(model, layer, v, cols=slice(None), *w):  # activation takes no w
+            out = real(model, layer, v, cols, *w)
             calls.append((name, layer, out.shape[1]))
             return out
         return wrapper

@@ -9,8 +9,9 @@ seeds 1, 7 and 32. For each workload and seed it generates the inputs of
 ``perfbench/workloads.py``'s workload, then runs the CLI commands with
 each tree's ``src/`` (BLAS pinned to one thread): the workload's
 ``train``, ``search``, ``curve`` and ``eval``, plus ``search`` with the
-test images set, ``curve_wide`` (``curve`` with 24-bit budgets, where the
-candidate evaluator keeps no layer), ``curve_test`` (``curve`` on the test
+test images set, ``curve_float64`` and ``curve_wide`` (``curve`` with
+budgets whose products need float64, or more than its 53 bits, by the
+value rule of ``ddbn._needs``), ``curve_test`` (``curve`` on the test
 images: 3,000 rows on ``retrain``, so stacks of one curve point, and 1,000 on
 ``sweep``, stacks of two) and ``eval`` in the other inference mode. On a
 workload with three or more hidden layers it adds ``search_full`` (variant
@@ -39,10 +40,14 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SKIPPED = {"config_echo.json"}
 SEEDS = (1, 7, 32)
-# curve_wide's budgets: layer 1's sums need 8 + 24 + 24 + ceil(log2 fan-in) bits,
-# more than float64's 53, so the candidate evaluator keeps no layer and walks
-# every candidate from the images
-WIDE_FRAC_BITS = 24
+# One run per product path. The workload's own runs start from 8-bit budgets,
+# whose products need 15 to 22 bits on the bench's models and run in float32. At
+# curve_float64's 20 bits they need 27 to 46 bits: float64 products, and the
+# candidate evaluator keeps its layers. At curve_wide's 30 bits layer 1 needs 65
+# bits or more, past float64's 53, so the evaluator keeps no layer and walks every
+# candidate from the images.
+FLOAT64_FRAC_BITS = 20
+WIDE_FRAC_BITS = 30
 # search_full's settings: the full method, kept short
 FULL_SEARCH = {"variant": "full", "retrain_epochs": 2, "max_relative_accuracy_loss": 0.05}
 
@@ -75,9 +80,11 @@ def commands(inputs, out):
     cmds = inputs.commands(str(out))
     test_config = _config(inputs, inputs.config, "search_test_config.json",
                           test_images=inputs.test_images, test_labels=inputs.test_labels)
-    wide_search = dict(inputs.workload.search, baseline_frac_bits=WIDE_FRAC_BITS)
-    wide_config = _config(inputs, inputs.curve_config, "curve_wide_config.json",
-                          search=wide_search)
+    budget_configs = {
+        name: _config(inputs, inputs.curve_config, f"{name}_config.json",
+                      search=dict(inputs.workload.search, baseline_frac_bits=bits))
+        for name, bits in (("curve_float64", FLOAT64_FRAC_BITS),
+                           ("curve_wide", WIDE_FRAC_BITS))}
     with open(test_config) as f:
         test_curve = dict(json.load(f)["curve"], eval_split="test")
     curve_test_config = _config(inputs, test_config, "curve_test_config.json",
@@ -89,8 +96,9 @@ def commands(inputs, out):
     cmds = cmds + [
         ("search_test", ["search", "--config", test_config, "--model", model,
                          "--out", os.path.join(out, "search_test")]),
-        ("curve_wide", ["curve", "--config", wide_config, "--model", model,
-                        "--out", os.path.join(out, "curve_wide")]),
+        *((name, ["curve", "--config", config, "--model", model,
+                  "--out", os.path.join(out, name)])
+          for name, config in budget_configs.items()),
         ("curve_test", ["curve", "--config", curve_test_config, "--model", model,
                         "--out", os.path.join(out, "curve_test")]),
         ("eval_other", eval_argv[:mode] + [other] + eval_argv[mode + 1:]),
